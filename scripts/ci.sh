@@ -369,13 +369,38 @@ cmp "${BUILD}/ci_pdbd_check.out" "${BUILD}/ci_pdbd_check.ref"
     > "${BUILD}/ci_pdbd_profile.ref"
 "${PDBQ}" --socket "${PDBD_SOCK}" profile \
     | cmp - "${BUILD}/ci_pdbd_profile.ref"
+# calltree was memoized on the first generation; the new one must answer
+# with its own rendering, not a stale memo.
+"${BUILD}/src/tools/pdbtree" "${BUILD}/ci_dyn.pdb" --calls \
+    > "${BUILD}/ci_pdbd_dyn_calltree.ref"
+"${PDBQ}" --socket "${PDBD_SOCK}" calltree \
+    | cmp - "${BUILD}/ci_pdbd_dyn_calltree.ref"
 "${PDBQ}" --socket "${PDBD_SOCK}" status \
     | grep -q '"generation": 2'
+# A request line over the 1 MiB cap is refused and its connection closed;
+# the daemon keeps answering everyone else.
+python3 - "${PDBD_SOCK}" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+try:
+    s.sendall(b"x" * (2 << 20))
+except OSError:
+    pass  # the daemon stops reading at its cap and closes
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = s.recv(4096)
+    if not chunk:
+        break
+    reply += chunk
+assert b'"code": "request-too-large"' in reply, reply[:200]
+PY
+"${PDBQ}" --socket "${PDBD_SOCK}" status | grep -q '"ok": true'
 # Drain: shutdown answers, the daemon exits 0, the socket is unlinked.
 "${PDBQ}" --socket "${PDBD_SOCK}" --json shutdown | grep -q '"draining": true'
 wait "${PDBD_PID}"
 [ ! -e "${PDBD_SOCK}" ]
-echo "pdbd gate OK: 32 clients byte-identical, hot-swap + drain clean"
+echo "pdbd gate OK: 32 clients byte-identical, hot-swap + drain clean, over-cap line refused"
 
 echo "== pdbd concurrency (TSan) =="
 # The wait-free generation publication (src/pdbd/service.h) is proven

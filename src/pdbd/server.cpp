@@ -2,41 +2,72 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <list>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 namespace pdt::pdbd {
 
 namespace {
 
-/// Writes all of `text`; MSG_NOSIGNAL turns a vanished client into an
-/// EPIPE error instead of killing the daemon with SIGPIPE.
-bool writeAll(int fd, const std::string& text) {
-  std::size_t off = 0;
-  while (off < text.size()) {
-    const ssize_t n =
-        ::send(fd, text.data() + off, text.size() - off, MSG_NOSIGNAL);
+/// The longest request line buffered while waiting for its newline. A
+/// client that sends more is answered `request-too-large` and dropped,
+/// so one connection cannot grow the daemon without bound.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
+/// Writes `line` and its newline in place, with no copy; MSG_NOSIGNAL
+/// turns a vanished client into an EPIPE error instead of killing the
+/// daemon with SIGPIPE.
+bool writeLine(int fd, std::string_view line) {
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(line.data()), line.size()},
+                  {&newline, 1}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    off += static_cast<std::size_t>(n);
+    // Skip what was sent: whole iovecs first, then into a partial one.
+    auto left = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
   }
   return true;
 }
+
+/// One connection thread; `done` is raised as it finishes so the accept
+/// loop can join it without blocking.
+struct Client {
+  std::atomic<bool> done{false};
+  std::thread thread;
+};
 
 }  // namespace
 
 std::size_t serveConnection(int fd, Service& service) {
   std::size_t served = 0;
   std::string pending;  // bytes read but not yet terminated by '\n'
+  std::size_t scanned = 0;  // prefix of `pending` known to hold no '\n'
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
@@ -47,27 +78,31 @@ std::size_t serveConnection(int fd, Service& service) {
     if (n == 0) return served;  // client closed
     pending.append(buf, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = pending.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = pending.find('\n', scanned); nl != std::string::npos;
          nl = pending.find('\n', start)) {
       std::string_view line(pending.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       start = nl + 1;
 
-      std::string response;
+      if (line.empty()) continue;  // blank keep-alive line
       Message request;
       std::string parse_error;
-      if (line.empty()) {
-        continue;  // blank keep-alive line
-      } else if (!parseMessage(line, request, parse_error)) {
-        response = errorLine("parse-error", parse_error);
-      } else {
-        response = service.handle(request);
-      }
+      const Reply reply = parseMessage(line, request, parse_error)
+                              ? service.answer(request)
+                              : Reply(errorLine("parse-error", parse_error));
       ++served;
-      response += '\n';
-      if (!writeAll(fd, response)) return served;
+      if (!writeLine(fd, reply.line())) return served;
     }
     pending.erase(0, start);
+    scanned = pending.size();
+    if (pending.size() > kMaxRequestLine) {
+      ++served;
+      (void)writeLine(fd, errorLine("request-too-large",
+                                    "request line exceeds " +
+                                        std::to_string(kMaxRequestLine) +
+                                        " bytes without a newline"));
+      return served;
+    }
   }
 }
 
@@ -98,8 +133,19 @@ int runServer(Service& service, const std::string& socket_path,
   }
   log << "pdbd: listening on '" << socket_path << "'\n";
 
-  std::vector<std::thread> clients;
+  std::list<Client> clients;  // stable addresses: each thread flags its own
+  const auto reap = [&clients] {
+    for (auto it = clients.begin(); it != clients.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = clients.erase(it);
+    }
+  };
   while (!service.shutdownRequested()) {
+    reap();
     // Poll with a timeout so the shutdown flag (set inside a client
     // thread by the "shutdown" verb) is noticed without a final connect.
     pollfd pfd{listener, POLLIN, 0};
@@ -108,14 +154,16 @@ int runServer(Service& service, const std::string& socket_path,
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) continue;
-    clients.emplace_back([client, &service] {
+    Client& entry = clients.emplace_back();
+    entry.thread = std::thread([client, &service, &done = entry.done] {
       serveConnection(client, service);
       ::close(client);
+      done.store(true, std::memory_order_release);
     });
   }
 
   // Drain: every accepted client gets its responses before we exit.
-  for (std::thread& t : clients) t.join();
+  for (Client& c : clients) c.thread.join();
   ::close(listener);
   ::unlink(socket_path.c_str());
   return 0;

@@ -4,9 +4,10 @@
 // serveConnection() is the whole per-client loop and takes a plain file
 // descriptor, so tests drive it over a socketpair without a listener.
 // runServer() owns the listening socket: it accepts until the service's
-// shutdown flag is raised, hands each client to its own thread, and
-// joins them all before returning (drain semantics — every accepted
-// request gets its response before the process exits).
+// shutdown flag is raised, hands each client to its own thread, joins
+// finished client threads as it goes, and joins the rest before
+// returning (drain semantics — every accepted request gets its response
+// before the process exits).
 #pragma once
 
 #include <cstddef>
@@ -17,8 +18,10 @@
 
 namespace pdt::pdbd {
 
-/// Serves one client on `fd` until EOF or a read/write error. Returns
-/// the number of requests answered. Does not close `fd`.
+/// Serves one client on `fd` until EOF, a read/write error, or a request
+/// line that outgrows the 1 MiB cap without its newline (answered
+/// `request-too-large`). Returns the number of requests answered. Does
+/// not close `fd`.
 std::size_t serveConnection(int fd, Service& service);
 
 /// Binds `socket_path`, announces readiness on `log`, and serves until

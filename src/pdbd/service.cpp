@@ -1,5 +1,6 @@
 #include "pdbd/service.h"
 
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -13,6 +14,7 @@ namespace pdt::pdbd {
 namespace {
 
 /// Tree verbs share one shape: render the tree, return it as `text`.
+/// A verb's position here is its Generation::memo slot.
 const std::pair<std::string_view, query::Tree> kTreeVerbs[] = {
     {"includes", query::Tree::Includes},
     {"hierarchy", query::Tree::ClassHierarchy},
@@ -20,12 +22,42 @@ const std::pair<std::string_view, query::Tree> kTreeVerbs[] = {
     {"profile", query::Tree::Profile},
 };
 
+constexpr std::size_t kCheckAllSlot = std::size(kTreeVerbs);  // +1: json
+static_assert(kCheckAllSlot + 2 == Generation::kMemoSlots);
+
 std::string okText(std::uint64_t generation, std::string_view text) {
   return MessageWriter{}
       .field("ok", true)
       .field("generation", generation)
       .field("text", text)
       .finish();
+}
+
+std::string checkLine(const Generation& gen,
+                      const analysis::CheckOptions& options) {
+  const analysis::CheckResult result =
+      analysis::runChecks(gen.index->analysis(), options);
+  if (!result.ok()) return errorLine("check-failed", result.error);
+  std::ostringstream os;
+  analysis::render(result, options, os);
+  return MessageWriter{}
+      .field("ok", true)
+      .field("generation", gen.id)
+      .field("findings", result.hasFindings())
+      .field("text", os.str())
+      .finish();
+}
+
+/// The reply in `gen`'s memo `slot`, rendered by `render` on first use.
+template <typename Render>
+Reply memoized(std::shared_ptr<const Generation> gen, std::size_t slot,
+               const Render& render) {
+  Generation::Memo& memo = gen->memo[slot];
+  std::call_once(memo.once, [&] { memo.line = render(*gen); });
+  Reply reply{std::string()};
+  reply.memo = &memo.line;
+  reply.hold = std::move(gen);
+  return reply;
 }
 
 }  // namespace
@@ -55,7 +87,7 @@ std::shared_ptr<const Generation> Service::current() const {
   }
 }
 
-void Service::publish(Holder gen) {
+Service::Holder Service::publish(Holder gen) {
   auto* fresh = new Holder(std::move(gen));
   std::lock_guard<std::mutex> lock(publish_mu_);
   const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
@@ -66,34 +98,43 @@ void Service::publish(Holder gen) {
   // epoch after registering). Wait them out, then reclaim.
   while (readers_[epoch & 1].load(std::memory_order_seq_cst) != 0)
     std::this_thread::yield();
+  if (old == nullptr) return nullptr;
+  Holder retired = *old;
   delete old;
+  return retired;
 }
 
-bool Service::load(const std::string& db_path, std::string& error) {
+Service::Holder Service::openGeneration(const std::string& db_path,
+                                        std::string& error) {
   PDT_TRACE_SCOPE("pdbd.load", db_path);
   pdb::OpenResult read = pdb::open(db_path);
   if (!read.opened) {
     error = "cannot open '" + db_path + "'";
-    return false;
+    return nullptr;
   }
   if (!read.ok()) {
     error = db_path + ": " + read.errors.front();
-    return false;
+    return nullptr;
   }
   auto gen = std::make_shared<Generation>();
   gen->snapshot = read.snapshot;
   gen->index = std::make_unique<query::Index>(read.snapshot);
   gen->id = read.snapshot->generation();
   gen->db_path = db_path;
-  // Force every lazy structure now, single-threaded; after publication
-  // the Generation is shared by concurrent readers and must be a pure
-  // read.
+  // Force the lazy state that is not thread-safe now, single-threaded;
+  // after publication the Generation is shared by concurrent readers.
   gen->index->prewarm();
-  publish(std::move(gen));
+  return gen;
+}
+
+bool Service::load(const std::string& db_path, std::string& error) {
+  Holder gen = openGeneration(db_path, error);
+  if (gen == nullptr) return false;
+  (void)publish(std::move(gen));
   return true;
 }
 
-std::string Service::handle(const Message& request) {
+Reply Service::answer(const Message& request) {
   queries_.fetch_add(1, std::memory_order_relaxed);
   const std::string verb = request.str("q");
   if (verb.empty())
@@ -114,13 +155,15 @@ std::string Service::handle(const Message& request) {
     if (db.empty())
       return errorLine("bad-request", "swap needs a 'db' field");
     std::string error;
-    if (!load(db, error)) return errorLine("open-failed", error);
-    const auto gen = current();
-    return MessageWriter{}
-        .field("ok", true)
-        .field("generation", gen->id)
-        .field("db", gen->db_path)
-        .finish();
+    Holder gen = openGeneration(db, error);
+    if (gen == nullptr) return errorLine("open-failed", error);
+    Reply reply = MessageWriter{}
+                      .field("ok", true)
+                      .field("generation", gen->id)
+                      .field("db", gen->db_path)
+                      .finish();
+    reply.hold = publish(std::move(gen));
+    return reply;
   }
 
   // Every remaining verb answers from one consistent generation: the
@@ -149,11 +192,14 @@ std::string Service::handle(const Message& request) {
     return okText(gen->id, os.str());
   }
 
-  for (const auto& [tree_verb, tree] : kTreeVerbs) {
-    if (verb != tree_verb) continue;
-    std::ostringstream os;
-    query::renderTree(*gen->index, tree, os);
-    return okText(gen->id, os.str());
+  for (std::size_t slot = 0; slot < std::size(kTreeVerbs); ++slot) {
+    if (verb != kTreeVerbs[slot].first) continue;
+    const query::Tree tree = kTreeVerbs[slot].second;
+    return memoized(gen, slot, [tree](const Generation& g) {
+      std::ostringstream os;
+      query::renderTree(*g.index, tree, os);
+      return okText(g.id, os.str());
+    });
   }
 
   if (verb == "defuse") {
@@ -178,17 +224,11 @@ std::string Service::handle(const Message& request) {
     } else if (format != "text") {
       return errorLine("bad-request", "unknown format '" + format + "'");
     }
-    const analysis::CheckResult result =
-        analysis::runChecks(gen->index->analysis(), options);
-    if (!result.ok()) return errorLine("check-failed", result.error);
-    std::ostringstream os;
-    analysis::render(result, options, os);
-    return MessageWriter{}
-        .field("ok", true)
-        .field("generation", gen->id)
-        .field("findings", result.hasFindings())
-        .field("text", os.str())
-        .finish();
+    if (options.checks != "all") return checkLine(*gen, options);
+    const std::size_t slot = kCheckAllSlot + (format == "json" ? 1 : 0);
+    return memoized(gen, slot, [&options](const Generation& g) {
+      return checkLine(g, options);
+    });
   }
 
   return errorLine("bad-verb", "unknown verb '" + verb + "'");

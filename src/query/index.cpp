@@ -99,10 +99,11 @@ std::vector<std::string> Index::lookup(const std::string& name) const {
 }
 
 void Index::prewarm() const {
+  // The graph build and the fullName() caches are the state a first
+  // reader would write outside any call_once; defUse() and analysis()
+  // build under their own once_flags and may wait for first demand.
   (void)roots();
   (void)names();
-  (void)defUse();
-  (void)analysis();
 }
 
 }  // namespace pdt::query

@@ -14,10 +14,12 @@
 //
 // Each sub-index is built lazily on first use, at most once
 // (std::call_once), and is immutable afterwards — thread-safe once
-// published. For concurrent readers (pdbd), call prewarm() once before
-// sharing: it forces every sub-index AND the object graph's internal
-// lazy state (deferred graph build, cached qualified names), after
-// which the whole structure is read-only and lock-free to query.
+// published. The object graph's own lazy state (the deferred graph
+// build and the per-item qualified-name caches) is written outside any
+// once_flag, so for concurrent readers (pdbd) call prewarm() once before
+// sharing: it forces exactly that state, through roots() and names().
+// defUse() and analysis() stay lazy: the first reader to need one builds
+// it under its once_flag while any concurrent first reader waits.
 #pragma once
 
 #include <cstdint>
@@ -74,9 +76,11 @@ class Index {
   /// Empty when nothing matches.
   [[nodiscard]] std::vector<std::string> lookup(const std::string& name) const;
 
-  /// Forces every sub-index and all lazy state inside the object graph.
-  /// Call once (single-threaded) before sharing the Index across
-  /// concurrent readers; afterwards every query path is a pure read.
+  /// Forces the lazy state a first reader would otherwise write without
+  /// synchronization: the object graph build and its qualified-name
+  /// caches (via roots() and names()). Call once (single-threaded)
+  /// before sharing the Index across concurrent readers; afterwards
+  /// every query path is a pure read or a call_once-guarded first build.
   void prewarm() const;
 
  private:

@@ -1,25 +1,34 @@
 // pdbd unit tests: the flat JSON protocol round-trips and rejects what
 // it must, the service answers every verb byte-identically to the
-// one-shot tools, failed swaps keep the old generation serving, and the
+// one-shot tools, memoized whole-database replies match a fresh render
+// and follow swaps, failed swaps keep the old generation serving, the
 // connection loop handles framing (multiple requests per read, requests
-// split across reads, malformed lines) over a plain socketpair.
+// split across reads, malformed lines, over-long lines) over a plain
+// socketpair, and the accept loop joins finished connection threads.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "analysis/checker.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
+#include "pdb/snapshot.h"
 #include "pdb/writer.h"
 #include "pdbd/proto.h"
 #include "pdbd/server.h"
 #include "pdbd/service.h"
+#include "query/render.h"
 #include "tools/tools.h"
 
 namespace pdt::pdbd {
@@ -138,10 +147,12 @@ Message ask(Service& service, const std::string& request) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // ctest runs each test in its own process, where `this` can repeat
+    // (sanitizer builds place heap objects deterministically): the pid
+    // keeps parallel tests out of each other's directories.
     dir_ = fs::temp_directory_path() /
-           ("pdt_pdbd_" + std::to_string(::testing::UnitTest::GetInstance()
-                                             ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+           ("pdt_pdbd_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     fs::create_directories(dir_);
     alpha_ = compileToFile(dir_ / "alpha.pdb", "alpha.cpp", kAlpha);
     beta_ = compileToFile(dir_ / "beta.pdb", "beta.cpp", kBeta);
@@ -254,6 +265,122 @@ TEST_F(ServiceTest, SwapPublishesANewGenerationAndFailureKeepsTheOld) {
   EXPECT_EQ(service.current()->db_path, beta_);
 }
 
+/// The reply `verb` would get from a fresh render of `db` (no memo),
+/// stamped with `generation`: the four tree verbs, and check with
+/// `options`.
+std::string freshReply(const std::string& db, std::uint64_t generation,
+                       const std::string& verb,
+                       const analysis::CheckOptions& options = {}) {
+  const pdb::OpenResult opened = pdb::open(db);
+  EXPECT_TRUE(opened.ok()) << db;
+  const query::Index index(opened.snapshot);
+  std::ostringstream os;
+  MessageWriter w;
+  w.field("ok", true).field("generation", generation);
+  if (verb == "check") {
+    const analysis::CheckResult result =
+        analysis::runChecks(index.analysis(), options);
+    analysis::render(result, options, os);
+    w.field("findings", result.hasFindings());
+  } else {
+    const query::Tree tree = verb == "includes"    ? query::Tree::Includes
+                             : verb == "hierarchy" ? query::Tree::ClassHierarchy
+                             : verb == "calltree"  ? query::Tree::CallGraph
+                                                   : query::Tree::Profile;
+    query::renderTree(index, tree, os);
+  }
+  return w.field("text", os.str()).finish();
+}
+
+const char* const kMemoVerbs[] = {"includes", "hierarchy", "calltree",
+                                  "profile", "check"};
+
+TEST_F(ServiceTest, MemoizedRepliesMatchAFreshRenderAndShareOneBuffer) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(beta_, error)) << error;
+  const std::uint64_t id = service.current()->id;
+  for (const char* verb : kMemoVerbs) {
+    const Message req = roundTrip(std::string(R"({"q": ")") + verb + R"("})");
+    const Reply first = service.answer(req);
+    const Reply second = service.answer(req);
+    EXPECT_EQ(first.line(), freshReply(beta_, id, verb)) << verb;
+    EXPECT_EQ(second.line(), first.line()) << verb;
+    EXPECT_EQ(service.handle(req), first.line()) << verb;
+    // The second request is sent from the first one's bytes, uncopied.
+    EXPECT_EQ(second.line().data(), first.line().data()) << verb;
+  }
+  // "checks": "all" spelled out is the same request as the default.
+  const Message all = roundTrip(R"({"q": "check", "checks": "all"})");
+  EXPECT_EQ(service.handle(all), freshReply(beta_, id, "check"));
+}
+
+TEST_F(ServiceTest, CheckWithOtherOptionsIsNotAnsweredFromTheMemo) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(beta_, error)) << error;
+  const std::uint64_t id = service.current()->id;
+  const std::string text = service.handle(roundTrip(R"({"q": "check"})"));
+  EXPECT_EQ(text, freshReply(beta_, id, "check"));
+
+  analysis::CheckOptions dead;
+  dead.checks = "dead-code";
+  const std::string dead_line =
+      service.handle(roundTrip(R"({"q": "check", "checks": "dead-code"})"));
+  EXPECT_EQ(dead_line, freshReply(beta_, id, "check", dead));
+  EXPECT_NE(dead_line, text);
+
+  analysis::CheckOptions json;
+  json.format = analysis::CheckOptions::Format::Json;
+  const Message json_req = roundTrip(R"({"q": "check", "format": "json"})");
+  const std::string json_line = service.handle(json_req);
+  EXPECT_EQ(json_line, freshReply(beta_, id, "check", json));
+  EXPECT_NE(json_line, text);
+  EXPECT_EQ(service.handle(json_req), json_line);
+
+  // An unknown rule still fails, and the memo is left as it was.
+  EXPECT_EQ(ask(service, R"({"q": "check", "checks": "no-such-rule"})")
+                .str("code"),
+            "check-failed");
+  EXPECT_EQ(service.handle(roundTrip(R"({"q": "check"})")), text);
+}
+
+TEST_F(ServiceTest, SwapAnswersFromTheNewGenerationsMemo) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+  for (const char* verb : kMemoVerbs)
+    (void)service.handle(roundTrip(std::string(R"({"q": ")") + verb + R"("})"));
+
+  ASSERT_TRUE(ask(service, std::string(R"({"q": "swap", "db": ")") + beta_ +
+                               R"("})")
+                  .flag("ok"));
+  const std::uint64_t id = service.current()->id;
+  for (const char* verb : kMemoVerbs) {
+    const std::string line =
+        service.handle(roundTrip(std::string(R"({"q": ")") + verb + R"("})"));
+    EXPECT_EQ(line, freshReply(beta_, id, verb)) << verb;
+    EXPECT_EQ(roundTrip(line).num("generation"), static_cast<std::int64_t>(id));
+  }
+}
+
+TEST_F(ServiceTest, SwapReplyHoldsTheRetiredGenerationUntilDropped) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+  const std::weak_ptr<const Generation> old = service.current();
+  (void)service.handle(roundTrip(R"({"q": "calltree"})"));
+  ASSERT_FALSE(old.expired());
+
+  auto reply = std::make_unique<Reply>(service.answer(
+      roundTrip(std::string(R"({"q": "swap", "db": ")") + beta_ + R"("})")));
+  EXPECT_TRUE(roundTrip(std::string(reply->line())).flag("ok"));
+  EXPECT_EQ(service.current()->db_path, beta_);
+  EXPECT_FALSE(old.expired());  // the reply is its last holder
+  reply.reset();
+  EXPECT_TRUE(old.expired());
+}
+
 TEST_F(ServiceTest, ShutdownRaisesTheFlag) {
   Service service;
   std::string error;
@@ -317,6 +444,124 @@ TEST_F(ServiceTest, ConnectionLoopFramesRequestsAndAnswersInOrder) {
   EXPECT_TRUE(lookup.flag("ok"));
   EXPECT_NE(lookup.str("text").find("leaf"), std::string::npos);
   EXPECT_FALSE(std::getline(lines, line));
+}
+
+TEST_F(ServiceTest, ConnectionLoopRejectsAnOverlongLineAndCloses) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::size_t served = 0;
+  std::thread server([&] {
+    served = serveConnection(fds[0], service);
+    ::close(fds[0]);
+  });
+
+  // 2 MiB with no newline. The daemon stops reading at its cap, so the
+  // tail of this send fails once it closes; that is expected.
+  const std::string line(std::size_t{2} << 20, 'x');
+  for (std::size_t off = 0; off < line.size();) {
+    const ssize_t n =
+        ::send(fds[1], line.data() + off, line.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fds[1], SHUT_WR);
+  std::string responses;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fds[1], buf, sizeof buf, 0);
+    if (n <= 0) break;
+    responses.append(buf, static_cast<std::size_t>(n));
+  }
+  server.join();
+  ::close(fds[1]);
+
+  EXPECT_EQ(served, 1u);
+  ASSERT_FALSE(responses.empty());
+  EXPECT_EQ(responses.find('\n'), responses.size() - 1);
+  responses.pop_back();
+  const Message m = roundTrip(responses);
+  EXPECT_FALSE(m.flag("ok"));
+  EXPECT_EQ(m.str("code"), "request-too-large");
+}
+
+/// The named field of /proc/self/status ("Threads", "VmSize"), in its
+/// own unit; -1 when unreadable.
+long procStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(field + ":", 0) == 0)
+      return std::stol(line.substr(field.size() + 1));
+  }
+  return -1;
+}
+
+TEST_F(ServiceTest, AcceptLoopJoinsFinishedConnectionThreads) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+  const std::string socket_path = (dir_ / "s.sock").string();
+  ASSERT_LT(socket_path.size(), sizeof(sockaddr_un{}.sun_path));
+
+  std::ostringstream log;
+  int rc = -1;
+  std::thread server([&] { rc = runServer(service, socket_path, log); });
+  const auto request = [&socket_path](const std::string& line) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    std::string reply;
+    for (int tries = 0; tries < 500; ++tries) {
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof addr) == 0) {
+        const std::string wire = line + "\n";
+        if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(wire.size()))
+          break;
+        char buf[4096];
+        while (reply.find('\n') == std::string::npos) {
+          const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+          if (n <= 0) break;
+          reply.append(buf, static_cast<std::size_t>(n));
+        }
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::close(fd);
+    return reply;
+  };
+
+  // Connections open and close one after another, never many at once.
+  // Each finished but unjoined thread would keep its stack mapped, so
+  // the address space grows by a stack per connection unless the accept
+  // loop joins them as it goes.
+  ASSERT_NE(request(R"({"q": "status"})").find("\"ok\": true"),
+            std::string::npos);
+  const long threads_before = procStatus("Threads");
+  const long vm_before_kb = procStatus("VmSize");
+  constexpr int kConnections = 300;
+  for (int i = 0; i < kConnections; ++i)
+    ASSERT_NE(request(R"({"q": "status"})").find("\"ok\": true"),
+              std::string::npos)
+        << "connection " << i;
+  const long threads_after = procStatus("Threads");
+  const long vm_after_kb = procStatus("VmSize");
+
+  EXPECT_NE(request(R"({"q": "shutdown"})").find("\"draining\": true"),
+            std::string::npos);
+  server.join();
+  EXPECT_EQ(rc, 0) << log.str();
+
+  ASSERT_GT(threads_before, 0);
+  EXPECT_LE(threads_after, threads_before + 4);
+  // 300 leaked 8 MiB stacks would add 2.4 GB; allow a few dozen threads.
+  EXPECT_LT(vm_after_kb - vm_before_kb, 32L * 8 * 1024)
+      << "VmSize " << vm_before_kb << " kB -> " << vm_after_kb << " kB";
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // to exactly one generation — its text is byte-identical to one of the
 // two databases' expected renderings, and one generation never yields
 // two different texts. The query path takes no locks; TSan verifies the
-// atomic shared_ptr publication is the only synchronization needed.
+// atomic shared_ptr publication is the only synchronization needed. A
+// second test releases every reader onto a freshly published generation
+// at once, so the first touches of its reply memo and of its lazily
+// built def-use index and analysis context all race.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -197,6 +200,78 @@ TEST(ServiceMt, ConcurrentQueriesSurviveHotSwapsUntorn) {
     EXPECT_EQ(classes, is_alpha ? alpha_classes : beta_classes)
         << "generation " << gen << " mixed databases";
   }
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(ServiceMt, ReadersFirstTouchAFreshGenerationTogether) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("pdt_pdbd_mt_fresh_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  fs::create_directories(dir);
+  // Both sources in one database, so the call tree has a class member
+  // and beta's helper has def-use streams.
+  const std::string db = compileToFile(dir / "both.pdb", "both.cpp",
+                                       std::string(kAlpha) + kBeta);
+
+  const char* const kRequests[] = {
+      R"({"q": "calltree"})",
+      R"({"q": "check"})",
+      R"({"q": "defuse", "routine": "helper", "defs": true, "uses": true})",
+  };
+  constexpr int kVerbs = 3;
+  // Expected texts from a separate service, so the generations under
+  // test start with an empty memo and no def-use or analysis index.
+  std::string expected[kVerbs];
+  {
+    Service reference;
+    std::string error;
+    ASSERT_TRUE(reference.load(db, error)) << error;
+    for (int v = 0; v < kVerbs; ++v) {
+      Message req, resp;
+      std::string perr;
+      ASSERT_TRUE(parseMessage(kRequests[v], req, perr));
+      ASSERT_TRUE(parseMessage(reference.handle(req), resp, perr));
+      ASSERT_TRUE(resp.flag("ok")) << kRequests[v];
+      expected[v] = resp.str("text");
+    }
+  }
+
+  Service service;
+  constexpr int kRounds = 6;
+  constexpr int kReaders = 4;
+  std::atomic<int> wrong{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::string error;
+    ASSERT_TRUE(service.load(db, error)) << error;
+    const auto generation = static_cast<std::int64_t>(service.current()->id);
+    std::atomic<int> waiting{kReaders};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        Message reqs[kVerbs];
+        std::string perr;
+        for (int v = 0; v < kVerbs; ++v)
+          if (!parseMessage(kRequests[v], reqs[v], perr)) wrong.fetch_add(1);
+        // Start together: every reader's first request is a first touch.
+        waiting.fetch_sub(1, std::memory_order_acq_rel);
+        while (waiting.load(std::memory_order_acquire) > 0)
+          std::this_thread::yield();
+        for (int k = 0; k < kVerbs; ++k) {
+          const int v = (r + k) % kVerbs;
+          Message resp;
+          if (!parseMessage(service.handle(reqs[v]), resp, perr) ||
+              !resp.flag("ok") || resp.num("generation") != generation ||
+              resp.str("text") != expected[v])
+            wrong.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : readers) t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
 
   std::error_code ec;
   fs::remove_all(dir, ec);
