@@ -1,7 +1,10 @@
 #include "analysis/context.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
+
+#include "support/trace.h"
 
 namespace pdt::analysis {
 
@@ -49,6 +52,26 @@ void sortUniq(std::vector<int>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+/// Turns (slot, item) pairs into a CSR over `slots` slots, each slot's
+/// items sorted by id and unique.
+template <typename T>
+void groupById(std::vector<std::pair<std::size_t, const T*>>& pairs,
+               std::size_t slots, std::vector<std::uint32_t>& off,
+               std::vector<const T*>& data) {
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second->id() < b.second->id();
+  });
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  off.assign(slots + 1, 0);
+  data.reserve(pairs.size());
+  for (const auto& [slot, item] : pairs) {
+    ++off[slot + 1];
+    data.push_back(item);
+  }
+  for (std::size_t i = 0; i < slots; ++i) off[i + 1] += off[i];
+}
+
 }  // namespace
 
 std::vector<const pdbClass*> collectAncestors(const pdbClass* c) {
@@ -68,7 +91,12 @@ std::vector<const pdbClass*> collectAncestors(const pdbClass* c) {
 }
 
 AnalysisContext AnalysisContext::build(const PDB& pdb) {
-  return build(pdb, DefUseIndex::build(pdb));
+  std::shared_ptr<const DefUseIndex> du;
+  {
+    PDT_TRACE_SCOPE("analysis.context.du");
+    du = DefUseIndex::build(pdb);
+  }
+  return build(pdb, std::move(du));
 }
 
 AnalysisContext AnalysisContext::build(const PDB& pdb,
@@ -76,78 +104,84 @@ AnalysisContext AnalysisContext::build(const PDB& pdb,
   AnalysisContext ctx;
   ctx.pdb = &pdb;
   ctx.du = std::move(du);
+  const PDB::routinevec& routines = pdb.getRoutineVec();
 
-  // --- Call-graph nodes: collapse corresponding template instantiations.
-  // Group key: (origin template, routine name, arity). Routines without a
-  // template back-link (plain routines, unattributed specializations) are
-  // singleton nodes. Iteration over getRoutineVec() is id-ordered, so node
-  // numbering — and everything derived from it — is deterministic.
-  struct GroupKey {
-    const pdbTemplate* templ;
-    std::string name;
-    int arity;
-    bool operator==(const GroupKey&) const = default;
-  };
-  struct GroupKeyHash {
-    std::size_t operator()(const GroupKey& k) const {
-      return std::hash<const void*>()(k.templ) ^
-             (std::hash<std::string>()(k.name) * 31u) ^
-             std::hash<int>()(k.arity);
-    }
-  };
-  std::unordered_map<GroupKey, int, GroupKeyHash> group_node;
-  for (const pdbRoutine* r : pdb.getRoutineVec()) {
-    int node = -1;
-    if (r->isTemplate() != nullptr) {
-      const GroupKey key{r->isTemplate(), r->name(), routineArity(r)};
-      if (const auto it = group_node.find(key); it != group_node.end()) {
+  {
+    PDT_TRACE_SCOPE("analysis.context.graph");
+    // --- Call-graph nodes: collapse corresponding template instantiations.
+    // Group key: (origin template, routine name, arity). Routines without
+    // a template back-link (plain routines, unattributed specializations)
+    // are singleton nodes. Iteration over getRoutineVec() is id-ordered,
+    // so node numbering — and everything derived from it — is
+    // deterministic.
+    struct GroupKey {
+      const pdbTemplate* templ;
+      std::string_view name;
+      int arity;
+      bool operator==(const GroupKey&) const = default;
+    };
+    struct GroupKeyHash {
+      std::size_t operator()(const GroupKey& k) const {
+        return std::hash<const void*>()(k.templ) ^
+               (std::hash<std::string_view>()(k.name) * 31u) ^
+               std::hash<int>()(k.arity);
+      }
+    };
+    std::unordered_map<GroupKey, int, GroupKeyHash> group_node;
+    ctx.node_of_.resize(routines.size());
+    for (const pdbRoutine* r : routines) {
+      int node = -1;
+      if (r->isTemplate() != nullptr) {
+        const GroupKey key{r->isTemplate(), r->name(), routineArity(r)};
+        const auto [it, inserted] =
+            group_node.try_emplace(key, static_cast<int>(ctx.nodes.size()));
         node = it->second;
+        if (inserted) {
+          ctx.nodes.emplace_back();
+          ctx.nodes.back().origin = r->isTemplate();
+        }
       } else {
         node = static_cast<int>(ctx.nodes.size());
         ctx.nodes.emplace_back();
-        ctx.nodes.back().origin = r->isTemplate();
-        group_node.emplace(key, node);
       }
-    } else {
-      node = static_cast<int>(ctx.nodes.size());
-      ctx.nodes.emplace_back();
+      CallNode& n = ctx.nodes[node];
+      if (n.rep == nullptr || r->id() < n.rep->id()) n.rep = r;
+      n.members.push_back(r);
+      ctx.node_of_[r->ordinal()] = node;
     }
-    CallNode& n = ctx.nodes[node];
-    if (n.rep == nullptr || r->id() < n.rep->id()) n.rep = r;
-    n.members.push_back(r);
-    ctx.node_of.emplace(r, node);
-  }
-  for (CallNode& n : ctx.nodes) {
-    std::sort(n.members.begin(), n.members.end(),
-              [](const pdbRoutine* a, const pdbRoutine* b) {
-                return a->id() < b->id();
-              });
-  }
-
-  // --- Edges.
-  for (const pdbRoutine* r : pdb.getRoutineVec()) {
-    const int u = ctx.node_of.at(r);
-    for (const pdbCall* call : r->callees()) {
-      const auto it = ctx.node_of.find(call->call());
-      if (it == ctx.node_of.end()) continue;
-      ctx.nodes[u].succ.push_back(it->second);
-      ctx.nodes[it->second].pred.push_back(u);
+    for (CallNode& n : ctx.nodes) {
+      std::sort(n.members.begin(), n.members.end(),
+                [](const pdbRoutine* a, const pdbRoutine* b) {
+                  return a->id() < b->id();
+                });
     }
-  }
-  for (CallNode& n : ctx.nodes) {
-    sortUniq(n.succ);
-    sortUniq(n.pred);
-  }
 
-  // --- Roots: main() and the defined extern "C" surface.
-  for (const pdbRoutine* r : pdb.getRoutineVec()) {
-    const bool is_main = r->fullName() == "main";
-    const bool exported_c = r->linkage() == pdbRoutine::LK_C && r->isDefined();
-    if (is_main || exported_c) ctx.roots.push_back(ctx.node_of.at(r));
+    // --- Edges.
+    for (const pdbRoutine* r : routines) {
+      const int u = ctx.nodeOf(r);
+      for (const pdbCall* call : r->callees()) {
+        const int v = ctx.nodeOf(call->call());
+        ctx.nodes[u].succ.push_back(v);
+        ctx.nodes[v].pred.push_back(u);
+      }
+    }
+    for (CallNode& n : ctx.nodes) {
+      sortUniq(n.succ);
+      sortUniq(n.pred);
+    }
+
+    // --- Roots: main() and the defined extern "C" surface.
+    for (const pdbRoutine* r : routines) {
+      const bool is_main = r->fullName() == "main";
+      const bool exported_c =
+          r->linkage() == pdbRoutine::LK_C && r->isDefined();
+      if (is_main || exported_c) ctx.roots.push_back(ctx.nodeOf(r));
+    }
+    sortUniq(ctx.roots);
   }
-  sortUniq(ctx.roots);
 
   // --- Override index.
+  std::vector<std::pair<std::size_t, const pdbRoutine*>> overrides;
   for (const pdbClass* derived : pdb.getClassVec()) {
     for (const pdbClass* base : collectAncestors(derived)) {
       for (const pdbRoutine* v : base->funcMembers()) {
@@ -155,24 +189,18 @@ AnalysisContext AnalysisContext::build(const PDB& pdb,
         for (const pdbRoutine* r : derived->funcMembers()) {
           if (r->name() != v->name()) continue;
           if (!aritiesCompatible(r, v)) continue;
-          ctx.overrides[v].push_back(r);
+          overrides.emplace_back(v->ordinal(), r);
         }
       }
     }
   }
-  for (auto& [v, rs] : ctx.overrides) {
-    std::sort(rs.begin(), rs.end(),
-              [](const pdbRoutine* a, const pdbRoutine* b) {
-                return a->id() < b->id();
-              });
-    rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
-  }
+  groupById(overrides, routines.size(), ctx.override_off_, ctx.overrides_);
 
   // --- Include usage: which files does each file's code refer to?
-  std::unordered_map<const pdbFile*, std::unordered_set<const pdbFile*>> uses;
+  std::vector<std::pair<std::size_t, const pdbFile*>> uses;
   const auto use = [&](const pdbLoc& from, const pdbFile* to) {
     if (!from.valid() || to == nullptr || from.file() == to) return;
-    uses[from.file()].insert(to);
+    uses.emplace_back(from.file()->ordinal(), to);
   };
   const auto useLoc = [&](const pdbLoc& from, const pdbLoc& to) {
     if (to.valid()) use(from, to.file());
@@ -180,7 +208,7 @@ AnalysisContext AnalysisContext::build(const PDB& pdb,
   const auto useType = [&](const pdbLoc& from, const pdbType* t) {
     if (const pdbClass* c = underlyingClass(t)) useLoc(from, c->location());
   };
-  for (const pdbRoutine* r : pdb.getRoutineVec()) {
+  for (const pdbRoutine* r : routines) {
     const pdbLoc& at = r->location();
     for (const pdbCall* call : r->callees()) useLoc(at, call->call()->location());
     if (r->isTemplate() != nullptr) useLoc(at, r->isTemplate()->location());
@@ -200,12 +228,7 @@ AnalysisContext AnalysisContext::build(const PDB& pdb,
     }
     if (c->isTemplate() != nullptr) useLoc(at, c->isTemplate()->location());
   }
-  for (auto& [file, set] : uses) {
-    std::vector<const pdbFile*> sorted(set.begin(), set.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const pdbFile* a, const pdbFile* b) { return a->id() < b->id(); });
-    ctx.uses.emplace(file, std::move(sorted));
-  }
+  groupById(uses, pdb.getFileVec().size(), ctx.use_off_, ctx.uses_);
   return ctx;
 }
 

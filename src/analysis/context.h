@@ -11,9 +11,10 @@
 // the way the instantiator expanded it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/du_index.h"
@@ -40,26 +41,10 @@ struct AnalysisContext {
 
   // --- Collapsed call graph -----------------------------------------------
   std::vector<CallNode> nodes;
-  std::unordered_map<const ductape::pdbRoutine*, int> node_of;
 
   /// Entry points for reachability: main() plus defined extern "C"
   /// routines (the exported surface of a library). Node indices, sorted.
   std::vector<int> roots;
-
-  // --- Class hierarchy index ----------------------------------------------
-  /// base virtual routine -> routines in derived classes that override it
-  /// (same name, compatible arity), sorted by id.
-  std::unordered_map<const ductape::pdbRoutine*,
-                     std::vector<const ductape::pdbRoutine*>>
-      overrides;
-
-  // --- Include graph usage ------------------------------------------------
-  /// file -> files whose entities its own entities reference (call targets,
-  /// base classes, member/signature class types, template origins).
-  /// Sorted by id, unique. Used by the unused-include check.
-  std::unordered_map<const ductape::pdbFile*,
-                     std::vector<const ductape::pdbFile*>>
-      uses;
 
   // --- Def-use streams ------------------------------------------------------
   /// Shared per-stream CFG + reaching-defs (never null after build). The
@@ -71,9 +56,38 @@ struct AnalysisContext {
   [[nodiscard]] static AnalysisContext build(
       const ductape::PDB& pdb, std::shared_ptr<const DefUseIndex> du);
 
+  /// Call-graph node of a routine of `pdb`.
+  [[nodiscard]] int nodeOf(const ductape::pdbRoutine* r) const {
+    return node_of_[r->ordinal()];
+  }
+
+  /// Class hierarchy index: routines in derived classes that override the
+  /// virtual routine `v` (same name, compatible arity), sorted by id.
+  [[nodiscard]] std::span<const ductape::pdbRoutine* const> overridesOf(
+      const ductape::pdbRoutine* v) const {
+    return dataflow::csrRow(override_off_, overrides_, v->ordinal());
+  }
+
+  /// Include graph usage: files whose entities the entities of `f`
+  /// reference (call targets, base classes, member/signature class types,
+  /// template origins), sorted by id, unique. Empty when `f`'s entities
+  /// refer to no other file. Used by the unused-include check.
+  [[nodiscard]] std::span<const ductape::pdbFile* const> usesOf(
+      const ductape::pdbFile* f) const {
+    return dataflow::csrRow(use_off_, uses_, f->ordinal());
+  }
+
   /// Display name of a node: the representative's qualified name, plus the
   /// origin template and instantiation count when collapsed.
   [[nodiscard]] std::string nodeName(int node) const;
+
+ private:
+  // Side tables indexed by routine / file ordinal (dense, unlike ids).
+  std::vector<int> node_of_;
+  std::vector<std::uint32_t> override_off_;  // CSR by routine ordinal
+  std::vector<const ductape::pdbRoutine*> overrides_;
+  std::vector<std::uint32_t> use_off_;  // CSR by file ordinal
+  std::vector<const ductape::pdbFile*> uses_;
 };
 
 /// All transitive base classes of `c`, visited depth-first in declaration

@@ -1,9 +1,9 @@
 #include "analysis/dataflow.h"
 
-#include <algorithm>
-#include <deque>
+#include <bit>
+#include <functional>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 
 namespace pdt::analysis::dataflow {
 
@@ -12,80 +12,148 @@ namespace {
 using pdb::DefUseItem;
 using pdb::DuOp;
 
+/// Every event classified once: a plain def/use, or one marker of the
+/// closed vocabulary. `Other` covers "irregular" and unknown markers.
+enum class Mark : std::uint8_t {
+  None, Then, Else, Endif, Loop, Doloop, Body, Endloop,
+  Switch, Case, Default, Endswitch, Ret, Break, Continue, Other
+};
+
+/// A marker with an empty name has always counted as a plain event.
+Mark classify(const DefUseItem::Event& e) {
+  if (e.op != DuOp::Marker || e.name.empty()) return Mark::None;
+  static constexpr std::pair<std::string_view, Mark> kNames[] = {
+      {"then", Mark::Then},         {"else", Mark::Else},
+      {"endif", Mark::Endif},       {"loop", Mark::Loop},
+      {"doloop", Mark::Doloop},     {"body", Mark::Body},
+      {"endloop", Mark::Endloop},   {"switch", Mark::Switch},
+      {"case", Mark::Case},         {"default", Mark::Default},
+      {"endswitch", Mark::Endswitch}, {"ret", Mark::Ret},
+      {"break", Mark::Break},       {"continue", Mark::Continue},
+  };
+  for (const auto& [name, mark] : kNames) {
+    if (e.name == name) return mark;
+  }
+  return Mark::Other;
+}
+
+/// A set of marks as a bitmask: parseSeq's stop set.
+using StopSet = std::uint32_t;
+constexpr StopSet bit(Mark m) { return StopSet{1} << static_cast<int>(m); }
+
+/// Appends one stream's lists to a concatenated CSR. `each(emit)` must
+/// call emit(key, value) for every pair, the same way both times it is
+/// invoked; values are grouped by key (0..keys-1) keeping emission order.
+/// `cursor` is scratch.
+template <typename Value, typename Each>
+void appendGrouped(std::vector<std::uint32_t>& off, std::vector<Value>& data,
+                   std::size_t keys, std::vector<std::uint32_t>& cursor,
+                   const Each& each) {
+  cursor.assign(keys, 0);
+  std::size_t total = 0;
+  each([&](std::size_t key, Value) {
+    ++cursor[key];
+    ++total;
+  });
+  auto at = static_cast<std::uint32_t>(data.size());
+  data.resize(data.size() + total);
+  for (std::size_t k = 0; k < keys; ++k) {
+    const std::uint32_t count = cursor[k];
+    cursor[k] = at;
+    at += count;
+    off.push_back(at);
+  }
+  each([&](std::size_t key, Value v) { data[cursor[key]++] = v; });
+}
+
+}  // namespace
+
+struct FlowBuilder::Scratch {
+  // CFG reconstruction.
+  std::vector<Mark> marks;       // per event
+  std::vector<int> block_of;     // per event
+  std::vector<std::pair<int, int>> edges;
+  std::vector<int> break_targets;
+  std::vector<int> continue_targets;
+  // Reaching definitions.
+  std::vector<int> var_slots;    // open-addressing table: local var id or -1
+  std::vector<int> fact_of;      // per event: def ordinal, -1 otherwise
+  std::vector<std::pair<EventIndex, EventIndex>> reach;  // (use, def)
+  ForwardState flow;
+  // Shared by every appendGrouped call.
+  std::vector<std::uint32_t> cursor;
+};
+
+namespace {
+
 /// Recursive-descent builder over the well-nested marker grammar the IL
 /// analyzer emits. Any stream that does not match the grammar (stray or
-/// missing markers) is flagged irregular rather than rejected.
-struct Builder {
-  explicit Builder(const DefUseItem& item) : item_(item) {}
+/// missing markers) is flagged irregular rather than rejected. Writes the
+/// block of every event and the edge list into the builder's scratch.
+struct Parser {
+  Parser(const std::vector<Mark>& marks, std::vector<int>& block_of,
+         std::vector<std::pair<int, int>>& edges, std::vector<int>& breaks,
+         std::vector<int>& continues)
+      : marks_(marks),
+        block_of_(block_of),
+        edges_(edges),
+        break_targets_(breaks),
+        continue_targets_(continues) {}
 
   void run() {
-    entry_ = newBlock();
-    exit_ = newBlock();
-    cur_ = entry_;
-    parseSeq({});
-    if (i_ < item_.events.size()) irregular_ = true;  // unconsumed stop marker
-    edge(cur_, exit_);  // falling off the end returns
+    cur_ = newBlock();  // Cfg::entry()
+    newBlock();         // Cfg::exit()
+    parseSeq(0);
+    if (i_ < marks_.size()) irregular_ = true;  // unconsumed stop marker
+    edge(cur_, Cfg::exit());  // falling off the end returns
   }
-  int newBlock() {
-    blocks_.emplace_back();
-    return static_cast<int>(blocks_.size()) - 1;
+  int newBlock() { return blocks_++; }
+  void edge(int from, int to) { edges_.emplace_back(from, to); }
+  [[nodiscard]] bool at(Mark m) const {
+    return i_ < marks_.size() && marks_[i_] == m;
   }
-  void edge(int from, int to) {
-    blocks_[from].succ.push_back(to);
-    blocks_[to].pred.push_back(from);
-  }
-  [[nodiscard]] std::string_view markerAt(std::size_t i) const {
-    const DefUseItem::Event& e = item_.events[i];
-    return e.op == DuOp::Marker ? e.name : std::string_view{};
-  }
-  static bool contains(const std::vector<std::string_view>& set,
-                       std::string_view name) {
-    return std::find(set.begin(), set.end(), name) != set.end();
+  /// Consumes `m` if it is next; otherwise the stream is irregular.
+  void expect(Mark m) {
+    if (at(m)) ++i_;
+    else irregular_ = true;
   }
 
-  /// Consumes events until one of `stop` (left unconsumed) or stream end.
-  void parseSeq(const std::vector<std::string_view>& stop) {
-    while (i_ < item_.events.size()) {
-      const std::string_view marker = markerAt(i_);
-      if (marker.empty()) {  // plain def/use event
-        blocks_[cur_].events.push_back(static_cast<EventIndex>(i_));
-        ++i_;
+  /// Consumes events until one in `stop` (left unconsumed) or stream end.
+  void parseSeq(StopSet stop) {
+    while (i_ < marks_.size()) {
+      const Mark mark = marks_[i_];
+      if (mark == Mark::None) {  // plain def/use event
+        block_of_[i_++] = cur_;
         continue;
       }
-      if (contains(stop, marker)) return;
-      if (marker == "then") {
-        parseIf();
-      } else if (marker == "loop") {
-        parseLoop();
-      } else if (marker == "doloop") {
-        parseDo();
-      } else if (marker == "switch") {
-        parseSwitch();
-      } else if (marker == "ret") {
-        ++i_;
-        edge(cur_, exit_);
-        cur_ = newBlock();  // continuation is unreachable
-      } else if (marker == "break") {
-        ++i_;
-        if (break_targets_.empty()) {
+      if ((stop & bit(mark)) != 0) return;
+      switch (mark) {
+        case Mark::Then: parseIf(); break;
+        case Mark::Loop: parseLoop(); break;
+        case Mark::Doloop: parseDo(); break;
+        case Mark::Switch: parseSwitch(); break;
+        case Mark::Ret:
+          ++i_;
+          edge(cur_, Cfg::exit());
+          cur_ = newBlock();  // continuation is unreachable
+          break;
+        case Mark::Break: jump(break_targets_); break;
+        case Mark::Continue: jump(continue_targets_); break;
+        default:
+          // "irregular", or a structural closer with no matching opener.
           irregular_ = true;
-        } else {
-          edge(cur_, break_targets_.back());
-          cur_ = newBlock();
-        }
-      } else if (marker == "continue") {
-        ++i_;
-        if (continue_targets_.empty()) {
-          irregular_ = true;
-        } else {
-          edge(cur_, continue_targets_.back());
-          cur_ = newBlock();
-        }
-      } else {
-        // "irregular", or a structural closer with no matching opener.
-        irregular_ = true;
-        ++i_;
+          ++i_;
       }
+    }
+  }
+
+  void jump(const std::vector<int>& targets) {
+    ++i_;
+    if (targets.empty()) {
+      irregular_ = true;
+    } else {
+      edge(cur_, targets.back());
+      cur_ = newBlock();
     }
   }
 
@@ -96,19 +164,18 @@ struct Builder {
     const int then_entry = newBlock();
     edge(cond, then_entry);
     cur_ = then_entry;
-    parseSeq({"else", "endif"});
+    parseSeq(bit(Mark::Else) | bit(Mark::Endif));
     const int then_exit = cur_;
     int else_exit = -1;
-    if (i_ < item_.events.size() && markerAt(i_) == "else") {
+    if (at(Mark::Else)) {
       ++i_;
       const int else_entry = newBlock();
       edge(cond, else_entry);
       cur_ = else_entry;
-      parseSeq({"endif"});
+      parseSeq(bit(Mark::Endif));
       else_exit = cur_;
     }
-    if (i_ < item_.events.size() && markerAt(i_) == "endif") ++i_;
-    else irregular_ = true;
+    expect(Mark::Endif);
     const int join = newBlock();
     edge(then_exit, join);
     if (else_exit >= 0) edge(else_exit, join);
@@ -123,10 +190,9 @@ struct Builder {
     const int header = newBlock();
     edge(before, header);
     cur_ = header;
-    parseSeq({"body"});
+    parseSeq(bit(Mark::Body));
     const int cond_exit = cur_;
-    if (i_ < item_.events.size() && markerAt(i_) == "body") ++i_;
-    else irregular_ = true;
+    expect(Mark::Body);
     const int join = newBlock();
     break_targets_.push_back(join);
     continue_targets_.push_back(header);
@@ -134,10 +200,9 @@ struct Builder {
     edge(cond_exit, body_entry);
     edge(cond_exit, join);  // zero iterations
     cur_ = body_entry;
-    parseSeq({"endloop"});
+    parseSeq(bit(Mark::Endloop));
     edge(cur_, header);  // back edge
-    if (i_ < item_.events.size() && markerAt(i_) == "endloop") ++i_;
-    else irregular_ = true;
+    expect(Mark::Endloop);
     break_targets_.pop_back();
     continue_targets_.pop_back();
     cur_ = join;
@@ -147,8 +212,7 @@ struct Builder {
   // at least once; the condition events sit at the end of the body region.
   void parseDo() {
     ++i_;
-    if (i_ < item_.events.size() && markerAt(i_) == "body") ++i_;
-    else irregular_ = true;
+    expect(Mark::Body);
     const int before = cur_;
     const int body_entry = newBlock();
     edge(before, body_entry);
@@ -156,11 +220,10 @@ struct Builder {
     break_targets_.push_back(join);
     continue_targets_.push_back(body_entry);
     cur_ = body_entry;
-    parseSeq({"endloop"});
+    parseSeq(bit(Mark::Endloop));
     edge(cur_, body_entry);  // back edge
     edge(cur_, join);
-    if (i_ < item_.events.size() && markerAt(i_) == "endloop") ++i_;
-    else irregular_ = true;
+    expect(Mark::Endloop);
     break_targets_.pop_back();
     continue_targets_.pop_back();
     cur_ = join;
@@ -175,23 +238,17 @@ struct Builder {
     break_targets_.push_back(join);
     bool has_default = false;
     int prev_exit = -1;
-    while (i_ < item_.events.size()) {
-      const std::string_view marker = markerAt(i_);
-      if (marker == "case" || marker == "default") {
-        has_default = has_default || marker == "default";
-        ++i_;
-        const int label_entry = newBlock();
-        edge(head, label_entry);
-        if (prev_exit >= 0) edge(prev_exit, label_entry);  // fallthrough
-        cur_ = label_entry;
-        parseSeq({"case", "default", "endswitch"});
-        prev_exit = cur_;
-        continue;
-      }
-      break;
+    while (at(Mark::Case) || at(Mark::Default)) {
+      has_default = has_default || marks_[i_] == Mark::Default;
+      ++i_;
+      const int label_entry = newBlock();
+      edge(head, label_entry);
+      if (prev_exit >= 0) edge(prev_exit, label_entry);  // fallthrough
+      cur_ = label_entry;
+      parseSeq(bit(Mark::Case) | bit(Mark::Default) | bit(Mark::Endswitch));
+      prev_exit = cur_;
     }
-    if (i_ < item_.events.size() && markerAt(i_) == "endswitch") ++i_;
-    else irregular_ = true;
+    expect(Mark::Endswitch);
     if (prev_exit >= 0) edge(prev_exit, join);
     // No default label (or an empty switch): the selector may match
     // nothing and control falls straight through.
@@ -200,155 +257,185 @@ struct Builder {
     cur_ = join;
   }
 
-  const DefUseItem& item_;
-  std::vector<Block> blocks_;
+  const std::vector<Mark>& marks_;
+  std::vector<int>& block_of_;
+  std::vector<std::pair<int, int>>& edges_;
+  std::vector<int>& break_targets_;
+  std::vector<int>& continue_targets_;
   std::size_t i_ = 0;
+  int blocks_ = 0;
   int cur_ = 0;
-  int entry_ = 0;
-  int exit_ = 0;
   bool irregular_ = false;
-  std::vector<int> break_targets_;
-  std::vector<int> continue_targets_;
 };
 
 }  // namespace
 
-Cfg Cfg::build(const pdb::DefUseItem& item) {
-  Builder b(item);
-  b.run();
+FlowBuilder::FlowBuilder(FlowTables& tables)
+    : t_(tables), s_(std::make_unique<Scratch>()) {}
+
+FlowBuilder::~FlowBuilder() = default;
+
+Cfg FlowBuilder::buildCfg(const DefUseItem& item) {
+  Scratch& s = *s_;
+  const auto& events = item.events;
+  const std::size_t n = events.size();
+  s.marks.resize(n);
+  for (std::size_t e = 0; e < n; ++e) s.marks[e] = classify(events[e]);
+  s.block_of.assign(n, Cfg::entry());
+  s.edges.clear();
+  s.break_targets.clear();
+  s.continue_targets.clear();
+  Parser parser(s.marks, s.block_of, s.edges, s.break_targets,
+                s.continue_targets);
+  parser.run();
+
   Cfg cfg;
+  cfg.t_ = &t_;
   cfg.item_ = &item;
-  cfg.blocks_ = std::move(b.blocks_);
-  cfg.entry_ = b.entry_;
-  cfg.exit_ = b.exit_;
-  cfg.irregular_ = b.irregular_;
-  cfg.block_of_.assign(item.events.size(), cfg.entry_);
-  for (std::size_t blk = 0; blk < cfg.blocks_.size(); ++blk)
-    for (const EventIndex e : cfg.blocks_[blk].events)
-      cfg.block_of_[e] = static_cast<int>(blk);
+  cfg.block_base_ = static_cast<std::uint32_t>(t_.block_event_off.size() - 1);
+  cfg.event_base_ = static_cast<std::uint32_t>(t_.block_of.size());
+  cfg.blocks_ = parser.blocks_;
+  cfg.irregular_ = parser.irregular_;
+  const auto blocks = static_cast<std::size_t>(parser.blocks_);
+  t_.block_of.insert(t_.block_of.end(), s.block_of.begin(), s.block_of.end());
+  appendGrouped<EventIndex>(
+      t_.block_event_off, t_.block_events, blocks, s.cursor,
+      [&](const auto& emit) {
+        for (std::size_t e = 0; e < n; ++e) {
+          if (s.marks[e] == Mark::None)
+            emit(static_cast<std::size_t>(s.block_of[e]),
+                 static_cast<EventIndex>(e));
+        }
+      });
+  appendGrouped<int>(t_.succ_off, t_.succ, blocks, s.cursor,
+                     [&](const auto& emit) {
+                       for (const auto& [from, to] : s.edges)
+                         emit(static_cast<std::size_t>(from), to);
+                     });
+  appendGrouped<int>(t_.pred_off, t_.pred, blocks, s.cursor,
+                     [&](const auto& emit) {
+                       for (const auto& [from, to] : s.edges)
+                         emit(static_cast<std::size_t>(to), from);
+                     });
   return cfg;
 }
 
-bool BitSet::unionWith(const BitSet& other) {
-  bool changed = false;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    const std::uint64_t next = words_[w] | other.words_[w];
-    changed = changed || next != words_[w];
-    words_[w] = next;
-  }
-  return changed;
-}
-
-void BitSet::forEach(const std::function<void(std::size_t)>& fn) const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    while (word != 0) {
-      const int bit = __builtin_ctzll(word);
-      fn(w * 64 + static_cast<std::size_t>(bit));
-      word &= word - 1;
-    }
-  }
-}
-
-std::vector<BitSet> solveForward(const Cfg& cfg, std::size_t lattice_bits,
-                                 const Transfer& transfer) {
-  const std::size_t n = cfg.blocks().size();
-  std::vector<BitSet> in(n, BitSet(lattice_bits));
-  std::deque<int> work;
-  std::vector<char> queued(n, 1);
-  for (std::size_t b = 0; b < n; ++b) work.push_back(static_cast<int>(b));
-  while (!work.empty()) {
-    const int b = work.front();
-    work.pop_front();
-    queued[b] = 0;
-    BitSet out = in[b];
-    transfer(b, out);
-    for (const int s : cfg.blocks()[b].succ) {
-      if (in[s].unionWith(out) && queued[s] == 0) {
-        queued[s] = 1;
-        work.push_back(s);
-      }
-    }
-  }
-  return in;
-}
-
-const std::vector<EventIndex> ReachingDefs::kEmpty;
-
-ReachingDefs::ReachingDefs(const Cfg& cfg) {
+ReachingDefs FlowBuilder::solve(const Cfg& cfg) {
+  Scratch& s = *s_;
   const auto& events = cfg.item().events;
-  var_of_.assign(events.size(), -1);
-  std::unordered_map<std::string_view, int> var_ids;
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    if (events[e].op == DuOp::Marker) continue;
-    const auto [it, inserted] =
-        var_ids.try_emplace(events[e].name, static_cast<int>(var_names_.size()));
-    if (inserted) var_names_.push_back(events[e].name);
-    var_of_[e] = it->second;
-  }
-  defs_of_var_.resize(var_names_.size());
-  uses_of_var_.resize(var_names_.size());
-  std::vector<EventIndex> def_events;
-  std::vector<int> fact_of(events.size(), -1);
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    if (events[e].op == DuOp::Def) {
-      fact_of[e] = static_cast<int>(def_events.size());
-      def_events.push_back(static_cast<EventIndex>(e));
-      defs_of_var_[var_of_[e]].push_back(static_cast<EventIndex>(e));
-    } else if (events[e].op == DuOp::Use) {
-      uses_of_var_[var_of_[e]].push_back(static_cast<EventIndex>(e));
-    }
-  }
+  const std::size_t n = events.size();
 
-  // Facts are def events; one pass per block applies the event sequence.
-  const auto apply = [&](const DefUseItem::Event& ev, EventIndex e,
-                         BitSet& state) {
+  ReachingDefs rd;
+  rd.t_ = &t_;
+  rd.event_base_ = static_cast<std::uint32_t>(t_.var_of.size());
+  rd.events_ = static_cast<std::uint32_t>(n);
+  rd.var_base_ = static_cast<std::uint32_t>(t_.var_names.size());
+
+  // Dense variable numbering in first-seen order, through an
+  // open-addressing table sized for the stream (load factor <= 1/2).
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(16, 2 * n));
+  s.var_slots.assign(slots, -1);
+  int vars = 0;
+  for (const DefUseItem::Event& ev : events) {
+    if (ev.op == DuOp::Marker) {
+      t_.var_of.push_back(-1);
+      continue;
+    }
+    std::size_t h = std::hash<std::string_view>()(ev.name) & (slots - 1);
+    while (s.var_slots[h] >= 0 &&
+           t_.var_names[rd.var_base_ + static_cast<std::size_t>(
+                                           s.var_slots[h])] != ev.name)
+      h = (h + 1) & (slots - 1);
+    if (s.var_slots[h] < 0) {
+      s.var_slots[h] = vars++;
+      t_.var_names.push_back(ev.name);
+    }
+    t_.var_of.push_back(s.var_slots[h]);
+  }
+  rd.vars_ = static_cast<std::uint32_t>(vars);
+  const int* var_of = t_.var_of.data() + rd.event_base_;
+
+  const auto byVar = [&](DuOp op) {
+    return [&, op](const auto& emit) {
+      for (std::size_t e = 0; e < n; ++e) {
+        if (events[e].op == op)
+          emit(static_cast<std::size_t>(var_of[e]), static_cast<EventIndex>(e));
+      }
+    };
+  };
+  appendGrouped<EventIndex>(t_.var_def_off, t_.var_defs,
+                            static_cast<std::size_t>(vars), s.cursor,
+                            byVar(DuOp::Def));
+  appendGrouped<EventIndex>(t_.var_use_off, t_.var_uses,
+                            static_cast<std::size_t>(vars), s.cursor,
+                            byVar(DuOp::Use));
+
+  // Facts are def events, numbered in stream order.
+  s.fact_of.assign(n, -1);
+  std::size_t facts = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (events[e].op == DuOp::Def) s.fact_of[e] = static_cast<int>(facts++);
+  }
+  const auto apply = [&](EventIndex e, BitSet& state) {
+    const DefUseItem::Event& ev = events[e];
     if (ev.op != DuOp::Def) return;
     // Weak update: an escaped/conditional def adds a possible value but
     // cannot retire the others.
     if ((ev.flags & pdb::du::kUnknown) == 0) {
-      for (const EventIndex d : defs_of_var_[var_of_[e]])
-        state.reset(static_cast<std::size_t>(fact_of[d]));
+      for (const EventIndex d : rd.defsOf(var_of[e]))
+        state.reset(static_cast<std::size_t>(s.fact_of[d]));
     }
-    state.set(static_cast<std::size_t>(fact_of[e]));
+    state.set(static_cast<std::size_t>(s.fact_of[e]));
   };
-  const Transfer transfer = [&](int block, BitSet& state) {
-    for (const EventIndex e : cfg.blocks()[block].events)
-      apply(events[e], e, state);
-  };
-  const std::vector<BitSet> block_in =
-      solveForward(cfg, def_events.size(), transfer);
+  steps_ += solveForward(
+      cfg, facts,
+      [&](int block, BitSet& state) {
+        for (const EventIndex e : cfg.events(block)) apply(e, state);
+      },
+      s.flow);
 
-  // Reconstruct per-use reaching sets by replaying each block once.
-  reaching_.resize(events.size());
-  reached_.resize(events.size());
-  for (std::size_t b = 0; b < cfg.blocks().size(); ++b) {
-    BitSet state = block_in[b];
-    for (const EventIndex e : cfg.blocks()[b].events) {
+  // Reconstruct per-use reaching sets by replaying each block once. A
+  // use's defs are emitted ascending (defsOf is in stream order).
+  s.reach.clear();
+  BitSet state({s.flow.out.data(), s.flow.words});
+  for (int b = 0; b < cfg.blockCount(); ++b) {
+    state.assign(s.flow.blockIn(b));
+    for (const EventIndex e : cfg.events(b)) {
       if (events[e].op == DuOp::Use) {
-        const int var = var_of_[e];
-        state.forEach([&](std::size_t fact) {
-          const EventIndex d = def_events[fact];
-          if (var_of_[d] != var) return;
-          reaching_[e].push_back(d);
-          reached_[d].push_back(static_cast<EventIndex>(e));
-        });
+        for (const EventIndex d : rd.defsOf(var_of[e])) {
+          if (state.test(static_cast<std::size_t>(s.fact_of[d])))
+            s.reach.emplace_back(e, d);
+        }
       }
-      apply(events[e], e, state);
+      apply(e, state);
     }
   }
-  for (auto& v : reaching_) std::sort(v.begin(), v.end());
-  for (auto& v : reached_) std::sort(v.begin(), v.end());
+  appendGrouped<EventIndex>(t_.reach_off, t_.reach, n, s.cursor,
+                            [&](const auto& emit) {
+                              for (const auto& [use, def] : s.reach)
+                                emit(use, def);
+                            });
+  // Walking uses in ascending order leaves each def's uses ascending.
+  appendGrouped<EventIndex>(
+      t_.reached_off, t_.reached, n, s.cursor, [&](const auto& emit) {
+        for (EventIndex u = 0; u < n; ++u) {
+          for (const EventIndex d : rd.defsReaching(u)) emit(d, u);
+        }
+      });
+  return rd;
 }
 
-const std::vector<EventIndex>& ReachingDefs::defsReaching(
-    EventIndex use_event) const {
-  return use_event < reaching_.size() ? reaching_[use_event] : kEmpty;
+Cfg Cfg::build(const DefUseItem& item) {
+  auto tables = std::make_unique<FlowTables>();
+  Cfg cfg = FlowBuilder(*tables).buildCfg(item);
+  cfg.owned_ = std::move(tables);
+  return cfg;
 }
 
-const std::vector<EventIndex>& ReachingDefs::usesReached(
-    EventIndex def_event) const {
-  return def_event < reached_.size() ? reached_[def_event] : kEmpty;
+ReachingDefs::ReachingDefs(const Cfg& cfg) {
+  auto tables = std::make_unique<FlowTables>();
+  *this = FlowBuilder(*tables).solve(cfg);
+  owned_ = std::move(tables);
 }
 
 }  // namespace pdt::analysis::dataflow

@@ -56,16 +56,12 @@ class DeadCodeRule final : public Rule {
       for (const pdbRoutine* m : ctx.nodes[u].members) {
         // Virtual dispatch: a reachable virtual makes every override in
         // the hierarchy a potential call target.
-        if (const auto it = ctx.overrides.find(m); it != ctx.overrides.end()) {
-          for (const pdbRoutine* o : it->second) mark(ctx.node_of.at(o));
-        }
+        for (const pdbRoutine* o : ctx.overridesOf(m)) mark(ctx.nodeOf(o));
         // Lifetime pairing: constructing an object implies its destructor
         // runs, even when no explicit dtor call edge was recovered.
         if (m->kind() == pdbItem::RO_CTOR && m->parentClass() != nullptr) {
           for (const pdbRoutine* f : m->parentClass()->funcMembers()) {
-            if (f->kind() != pdbItem::RO_DTOR) continue;
-            if (const auto it = ctx.node_of.find(f); it != ctx.node_of.end())
-              mark(it->second);
+            if (f->kind() == pdbItem::RO_DTOR) mark(ctx.nodeOf(f));
           }
         }
       }
@@ -91,9 +87,7 @@ class DeadCodeRule final : public Rule {
       bool any_reached = false;
       for (const pdbRoutine* f : c->funcMembers()) {
         any_defined = any_defined || f->isDefined();
-        const auto it = ctx.node_of.find(f);
-        if (it != ctx.node_of.end() && reached[it->second] != 0)
-          any_reached = true;
+        if (reached[ctx.nodeOf(f)] != 0) any_reached = true;
       }
       if (!any_defined || any_reached) continue;
       sink.report(std::string(name()), Severity::Note,
@@ -404,12 +398,10 @@ class IncludeGraphRule final : public Rule {
 
     for (const pdbFile* f : ctx.pdb->getFileVec()) {
       if (f->isSystemFile()) continue;
-      const auto used_it = ctx.uses.find(f);
+      const auto used = ctx.usesOf(f);
       // No attribution data for this file (it defines nothing that refers
       // anywhere): an umbrella header, skip.
-      if (used_it == ctx.uses.end()) continue;
-      const std::unordered_set<const pdbFile*> used(used_it->second.begin(),
-                                                    used_it->second.end());
+      if (used.empty()) continue;
       for (const pdbFile* inc : f->includes()) {
         if (inc->isSystemFile()) continue;
         // The include is justified if anything in its transitive closure
@@ -421,7 +413,8 @@ class IncludeGraphRule final : public Rule {
         while (!work.empty() && !justified) {
           const pdbFile* cur = work.back();
           work.pop_back();
-          if (used.contains(cur)) justified = true;
+          if (std::find(used.begin(), used.end(), cur) != used.end())
+            justified = true;
           if (has_code.contains(cur)) closure_has_code = true;
           for (const pdbFile* next : cur->includes()) {
             if (seen.insert(next).second) work.push_back(next);
@@ -533,7 +526,7 @@ class UninitializedReadRule final : public DuRuleBase {
   void run(const AnalysisContext& ctx, DiagSink& sink) const override {
     const DefUseIndex& world = *ctx.du;
     for (const DefUseIndex::Stream& stream : world.streams()) {
-      if (stream.rd == nullptr) continue;  // goto/label/try: no reliable CFG
+      if (!stream.rd) continue;  // goto/label/try: no reliable CFG
       const pdb::DefUseItem& item = *stream.item;
       const dataflow::ReachingDefs& rd = *stream.rd;
       std::unordered_set<int> reported;
@@ -573,7 +566,7 @@ class DeadStoreRule final : public DuRuleBase {
   void run(const AnalysisContext& ctx, DiagSink& sink) const override {
     const DefUseIndex& world = *ctx.du;
     for (const DefUseIndex::Stream& stream : world.streams()) {
-      if (stream.rd == nullptr) continue;
+      if (!stream.rd) continue;
       const pdb::DefUseItem& item = *stream.item;
       const dataflow::ReachingDefs& rd = *stream.rd;
       for (std::size_t var = 0; var < rd.varNames().size(); ++var) {

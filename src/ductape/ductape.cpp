@@ -59,7 +59,7 @@ PDB PDB::read(const std::string& path, pdb::Sections sections) {
     out.error_ = path + ": " + result.errors.front();
     return out;
   }
-  out.raw_ = result.snapshot->clonePdb();
+  out.raw_ = pdb::releasePdb(std::move(result.snapshot));
   out.graph_dirty_ = true;
   return out;
 }
@@ -73,6 +73,19 @@ PDB PDB::fromSnapshot(const pdb::SnapshotPtr& snapshot) {
   out.raw_ = snapshot->clonePdb();
   out.graph_dirty_ = true;
   return out;
+}
+
+const pdbFile* PDB::fileById(std::uint32_t id) const {
+  const pdb::SourceFileItem* item = raw_.findSourceFile(id);
+  if (item == nullptr) return nullptr;
+  // build() creates one object per raw item, in raw order.
+  return getFileVec()[static_cast<std::size_t>(item - raw_.sourceFiles().data())];
+}
+
+const pdbRoutine* PDB::routineById(std::uint32_t id) const {
+  const pdb::RoutineItem* item = raw_.findRoutine(id);
+  if (item == nullptr) return nullptr;
+  return getRoutineVec()[static_cast<std::size_t>(item - raw_.routines().data())];
 }
 
 bool PDB::write(const std::string& path) const {
@@ -122,36 +135,42 @@ void PDB::build() {
     auto obj = std::make_unique<pdbFile>(std::string(f.name), static_cast<int>(f.id));
     obj->system_ = f.system;
     file_by_id[f.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(files_.size());
     files_.push_back(obj.get());
     file_storage_.push_back(std::move(obj));
   }
   for (const auto& r : raw_.routines()) {
     auto obj = std::make_unique<pdbRoutine>(std::string(r.name), static_cast<int>(r.id));
     routine_by_id[r.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(routines_.size());
     routines_.push_back(obj.get());
     routine_storage_.push_back(std::move(obj));
   }
   for (const auto& c : raw_.classes()) {
     auto obj = std::make_unique<pdbClass>(std::string(c.name), static_cast<int>(c.id));
     class_by_id[c.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(classes_.size());
     classes_.push_back(obj.get());
     class_storage_.push_back(std::move(obj));
   }
   for (const auto& t : raw_.types()) {
     auto obj = std::make_unique<pdbType>(std::string(t.name), static_cast<int>(t.id));
     type_by_id[t.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(types_.size());
     types_.push_back(obj.get());
     type_storage_.push_back(std::move(obj));
   }
   for (const auto& t : raw_.templates()) {
     auto obj = std::make_unique<pdbTemplate>(std::string(t.name), static_cast<int>(t.id));
     template_by_id[t.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(templates_.size());
     templates_.push_back(obj.get());
     template_storage_.push_back(std::move(obj));
   }
   for (const auto& n : raw_.namespaces()) {
     auto obj = std::make_unique<pdbNamespace>(std::string(n.name), static_cast<int>(n.id));
     namespace_by_id[n.id] = obj.get();
+    obj->ordinal_ = static_cast<std::uint32_t>(namespaces_.size());
     namespaces_.push_back(obj.get());
     namespace_storage_.push_back(std::move(obj));
   }
@@ -159,6 +178,7 @@ void PDB::build() {
     auto obj = std::make_unique<pdbMacro>(std::string(m.name), static_cast<int>(m.id));
     obj->kind_ = m.kind == "undef" ? pdbMacro::MA_UNDEF : pdbMacro::MA_DEF;
     obj->text_ = m.text;
+    obj->ordinal_ = static_cast<std::uint32_t>(macros_.size());
     macros_.push_back(obj.get());
     macro_storage_.push_back(std::move(obj));
   }

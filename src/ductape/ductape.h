@@ -73,6 +73,10 @@ class pdbSimpleItem {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int id() const { return id_; }
+  /// Position of the item in its kind's PDB accessor vector
+  /// (getFileVec(), getRoutineVec(), ...). Dense from 0 even when ids are
+  /// not, so tools can keep per-item side tables in plain vectors.
+  [[nodiscard]] std::size_t ordinal() const { return ordinal_; }
 
   /// Fully qualified name ("Stack<int>::push").
   [[nodiscard]] virtual std::string fullName() const { return name_; }
@@ -84,6 +88,7 @@ class pdbSimpleItem {
   friend class PDB;
   std::string name_;
   int id_;
+  std::uint32_t ordinal_ = 0;
 
  private:
   mutable pdbFlag flag_ = INACTIVE;  // tool traversal state (Figure 5)
@@ -490,6 +495,10 @@ class PDB {
   [[nodiscard]] const templatevec& getTemplateVec() const { ensureBuilt(); return templates_; }
   [[nodiscard]] const namespacevec& getNamespaceVec() const { ensureBuilt(); return namespaces_; }
   [[nodiscard]] const macrovec& getMacroVec() const { ensureBuilt(); return macros_; }
+  /// The file / routine with database id `id`, null when absent. Resolved
+  /// through the database's id index; builds the object graph if needed.
+  [[nodiscard]] const pdbFile* fileById(std::uint32_t id) const;
+  [[nodiscard]] const pdbRoutine* routineById(std::uint32_t id) const;
   /// Every item in the database (paper: "a list of all items contained").
   [[nodiscard]] itemvec getItemVec() const;
 

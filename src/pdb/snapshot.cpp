@@ -49,6 +49,14 @@ OpenResult open(const std::string& path, Sections sections) {
   return result;
 }
 
+PdbFile releasePdb(SnapshotPtr&& snapshot) {
+  const SnapshotPtr held = std::move(snapshot);
+  if (held.use_count() != 1) return held->clonePdb();
+  // Sole owner: nobody can observe the snapshot any more, and it was
+  // created non-const by open()/widen(), so its records can be taken.
+  return std::move(const_cast<Snapshot&>(*held).pdb_);
+}
+
 OpenResult widen(const SnapshotPtr& snapshot, Sections extra) {
   OpenResult result;
   if (snapshot == nullptr) {

@@ -66,6 +66,7 @@ class Snapshot {
   Snapshot() = default;
   friend OpenResult open(const std::string& path, Sections sections);
   friend OpenResult widen(const SnapshotPtr& snapshot, Sections extra);
+  friend PdbFile releasePdb(SnapshotPtr&& snapshot);
 
   PdbFile pdb_;
   Sections loaded_ = Sections::All;
@@ -97,6 +98,12 @@ struct OpenResult {
 /// single file-read entry point every tool and the DUCTAPE loader use.
 [[nodiscard]] OpenResult open(const std::string& path,
                               Sections sections = Sections::All);
+
+/// The typed database of a snapshot, for a caller that is done with the
+/// snapshot itself: moved out when `snapshot` is the only reference to it
+/// (as right after open()), a clonePdb() copy otherwise. Either way the
+/// result keeps the string backings alive.
+[[nodiscard]] PdbFile releasePdb(SnapshotPtr&& snapshot);
 
 /// Re-opens lazily-skipped sections into the same snapshot generation.
 /// Returns `snapshot` itself when `extra` is already covered; otherwise a

@@ -56,8 +56,11 @@ bool writeLine(int fd, std::string_view line) {
 }
 
 /// One connection thread; `done` is raised as it finishes so the accept
-/// loop can join it without blocking.
+/// loop can join it without blocking. The accept loop owns `fd` and closes
+/// it after the join, so the descriptor cannot be reused while the loop
+/// may still shut it down.
 struct Client {
+  int fd = -1;
   std::atomic<bool> done{false};
   std::thread thread;
 };
@@ -141,6 +144,7 @@ int runServer(Service& service, const std::string& socket_path,
         continue;
       }
       it->thread.join();
+      ::close(it->fd);
       it = clients.erase(it);
     }
   };
@@ -155,15 +159,23 @@ int runServer(Service& service, const std::string& socket_path,
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) continue;
     Client& entry = clients.emplace_back();
+    entry.fd = client;
     entry.thread = std::thread([client, &service, &done = entry.done] {
       serveConnection(client, service);
-      ::close(client);
       done.store(true, std::memory_order_release);
     });
   }
 
-  // Drain: every accepted client gets its responses before we exit.
-  for (Client& c : clients) c.thread.join();
+  // Drain: every accepted client gets its responses before we exit. A
+  // client that stays connected without sending would block its thread's
+  // recv forever; half-closing the read side makes that recv return end
+  // of stream once the bytes already received are consumed, while the
+  // write side stays open for the replies still owed.
+  for (Client& c : clients) {
+    ::shutdown(c.fd, SHUT_RD);
+    c.thread.join();
+    ::close(c.fd);
+  }
   ::close(listener);
   ::unlink(socket_path.c_str());
   return 0;

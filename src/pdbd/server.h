@@ -7,7 +7,8 @@
 // shutdown flag is raised, hands each client to its own thread, joins
 // finished client threads as it goes, and joins the rest before
 // returning (drain semantics — every accepted request gets its response
-// before the process exits).
+// before the process exits). At shutdown the remaining connections are
+// half-closed for reading, so an idle client cannot hold the daemon open.
 #pragma once
 
 #include <cstddef>

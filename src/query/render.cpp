@@ -217,7 +217,7 @@ void renderDefUse(const Index& index, const DefUseQuery& query,
       continue;
     }
 
-    if (stream.rd == nullptr) {
+    if (!stream.rd) {
       os << "routine '" << world.routineName(item.routine)
          << "': irregular control flow (goto/label/try); no "
             "flow-sensitive answer\n";

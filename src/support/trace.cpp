@@ -42,6 +42,9 @@ constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "diag.errors",
     "diag.warnings",
     "check.findings",
+    "du.streams",
+    "du.irregular",
+    "dataflow.worklist_iterations",
 };
 
 /// One thread's event buffer. Owned by the session so events survive the

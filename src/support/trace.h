@@ -65,6 +65,9 @@ enum class Counter : std::size_t {
   DiagErrors,            // diag.errors
   DiagWarnings,          // diag.warnings
   CheckFindings,         // check.findings — pdbcheck diagnostics produced
+  DuStreams,             // du.streams — def-use streams a DefUseIndex built
+  DuIrregular,           // du.irregular — of those, streams with irregular control flow
+  DataflowWorklistIterations,  // dataflow.worklist_iterations — forward-solver worklist steps
   kCount
 };
 

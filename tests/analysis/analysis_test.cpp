@@ -89,11 +89,11 @@ TEST(AnalysisContext, CollapsesTemplateInstantiations) {
   EXPECT_EQ(push->members.size(), 2u);
   ASSERT_NE(push->origin, nullptr);
   // The collapsed node is named after the template.
-  const int idx = ctx.node_of.at(push->rep);
+  const int idx = ctx.nodeOf(push->rep);
   EXPECT_NE(ctx.nodeName(idx).find("2 instantiations"), std::string::npos);
   // Both instantiations map to the same node.
   for (const ductape::pdbRoutine* r : push->members)
-    EXPECT_EQ(ctx.node_of.at(r), idx);
+    EXPECT_EQ(ctx.nodeOf(r), idx);
 }
 
 TEST(AnalysisContext, RootsAndEdges) {
@@ -107,7 +107,7 @@ TEST(AnalysisContext, RootsAndEdges) {
     if (r->name() == "main") main_r = r;
   }
   ASSERT_NE(main_r, nullptr);
-  const int main_node = ctx.node_of.at(main_r);
+  const int main_node = ctx.nodeOf(main_r);
   EXPECT_TRUE(std::find(ctx.roots.begin(), ctx.roots.end(), main_node) !=
               ctx.roots.end());
 

@@ -5,6 +5,7 @@
 // runs these rules over clean inputs and fails on any finding).
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,13 +35,17 @@ DefUseItem::Event mark(std::string_view kind) {
   return {DuOp::Marker, 0, kind, {1, 1, 1}};
 }
 
+std::vector<dataflow::EventIndex> list(std::span<const dataflow::EventIndex> s) {
+  return {s.begin(), s.end()};
+}
+
 TEST(Cfg, StraightLineIsOneBlockPlusEntryExit) {
   DefUseItem item;
   item.events = {def("x"), use("x")};
   const dataflow::Cfg cfg = dataflow::Cfg::build(item);
   EXPECT_FALSE(cfg.irregular());
   EXPECT_EQ(cfg.blockOf(0), cfg.blockOf(1));
-  EXPECT_EQ(cfg.blocks()[cfg.blockOf(0)].events.size(), 2u);
+  EXPECT_EQ(cfg.events(cfg.blockOf(0)).size(), 2u);
 }
 
 TEST(Cfg, IfWithoutElseHasFallthroughEdge) {
@@ -53,7 +58,7 @@ TEST(Cfg, IfWithoutElseHasFallthroughEdge) {
   const int join = cfg.blockOf(5);
   // The condition block reaches the join both through the then-branch and
   // directly (condition false).
-  const auto& preds = cfg.blocks()[join].pred;
+  const auto preds = cfg.pred(join);
   EXPECT_NE(std::find(preds.begin(), preds.end(), cond), preds.end());
   EXPECT_EQ(preds.size(), 2u);
 }
@@ -66,10 +71,10 @@ TEST(Cfg, LoopHasBackEdgeAndZeroIterationEdge) {
   ASSERT_FALSE(cfg.irregular());
   const int header = cfg.blockOf(2);
   const int body = cfg.blockOf(4);
-  const auto& body_succ = cfg.blocks()[body].succ;
+  const auto body_succ = cfg.succ(body);
   EXPECT_NE(std::find(body_succ.begin(), body_succ.end(), header),
             body_succ.end());  // back edge
-  const auto& header_succ = cfg.blocks()[header].succ;
+  const auto header_succ = cfg.succ(header);
   EXPECT_EQ(header_succ.size(), 2u);  // body + zero-iteration exit
 }
 
@@ -97,15 +102,15 @@ TEST(ReachingDefs, BranchDefsMergeAtJoin) {
   const dataflow::ReachingDefs rd(cfg);
   // Both the uninitialized declaration and the branch assignment reach
   // the final use (the branch may not be taken).
-  EXPECT_EQ(rd.defsReaching(5), (std::vector<dataflow::EventIndex>{0, 3}));
-  EXPECT_EQ(rd.usesReached(3), (std::vector<dataflow::EventIndex>{5}));
+  EXPECT_EQ(list(rd.defsReaching(5)), (std::vector<dataflow::EventIndex>{0, 3}));
+  EXPECT_EQ(list(rd.usesReached(3)), (std::vector<dataflow::EventIndex>{5}));
 }
 
 TEST(ReachingDefs, StrongUpdateKillsPriorDef) {
   DefUseItem item;
   item.events = {def("x"), def("x"), use("x")};
   const dataflow::ReachingDefs rd(dataflow::Cfg::build(item));
-  EXPECT_EQ(rd.defsReaching(2), (std::vector<dataflow::EventIndex>{1}));
+  EXPECT_EQ(list(rd.defsReaching(2)), (std::vector<dataflow::EventIndex>{1}));
   EXPECT_TRUE(rd.usesReached(0).empty());
 }
 
@@ -113,7 +118,7 @@ TEST(ReachingDefs, WeakUpdateDoesNotKill) {
   DefUseItem item;
   item.events = {def("x"), def("x", du::kUnknown), use("x")};
   const dataflow::ReachingDefs rd(dataflow::Cfg::build(item));
-  EXPECT_EQ(rd.defsReaching(2), (std::vector<dataflow::EventIndex>{0, 1}));
+  EXPECT_EQ(list(rd.defsReaching(2)), (std::vector<dataflow::EventIndex>{0, 1}));
 }
 
 TEST(ReachingDefs, LoopDefReachesHeaderUse) {
@@ -128,8 +133,8 @@ TEST(ReachingDefs, LoopDefReachesHeaderUse) {
                  use("i")};       // 7
   const dataflow::ReachingDefs rd(dataflow::Cfg::build(item));
   // The increment flows back to the condition and out of the loop.
-  EXPECT_EQ(rd.defsReaching(2), (std::vector<dataflow::EventIndex>{0, 5}));
-  EXPECT_EQ(rd.defsReaching(7), (std::vector<dataflow::EventIndex>{0, 5}));
+  EXPECT_EQ(list(rd.defsReaching(2)), (std::vector<dataflow::EventIndex>{0, 5}));
+  EXPECT_EQ(list(rd.defsReaching(7)), (std::vector<dataflow::EventIndex>{0, 5}));
 }
 
 // --- End-to-end: compile real code, run the rules ---------------------------

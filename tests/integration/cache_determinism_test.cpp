@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "pdb/writer.h"
 #include "pdt/pdt_paths.h"
 #include "tools/driver.h"
@@ -22,10 +23,6 @@ namespace fs = std::filesystem;
 class CacheDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_cache_det_" + std::to_string(::testing::UnitTest::GetInstance()
-                                                  ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     fs::create_directories(dir_ / "cache");
     writeTU("tu_vectors.cpp", R"cpp(
 #include "Array.h"
@@ -81,11 +78,6 @@ double useMixed() {
     uncached_.cache = {};
   }
 
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   void writeTU(const std::string& name, const std::string& text) {
     std::ofstream os(dir_ / name);
     os << text;
@@ -101,7 +93,7 @@ double useMixed() {
     return result.pdb ? pdb::writeToString(result.pdb->raw()) : std::string();
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_cache_det_"};
   std::vector<std::string> inputs_;
   tools::DriverOptions cached_;
   tools::DriverOptions uncached_;

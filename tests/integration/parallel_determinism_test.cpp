@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "ductape/ductape.h"
 #include "pdb/writer.h"
 #include "pdt/pdt_paths.h"
@@ -26,11 +27,6 @@ namespace fs = std::filesystem;
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_par_det_" + std::to_string(::testing::UnitTest::GetInstance()
-                                                ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     writeTU("tu_vectors.cpp", R"cpp(
 #include "Array.h"
 #include "BLAS1.h"
@@ -86,11 +82,6 @@ double useMixed() {
                                              "/pooma_mini");
   }
 
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   void writeTU(const std::string& name, const std::string& text) {
     const fs::path path = dir_ / name;
     std::ofstream os(path);
@@ -98,7 +89,7 @@ double useMixed() {
     inputs_.push_back(path.string());
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_par_det_"};
   std::vector<std::string> inputs_;
   tools::DriverOptions options_;
 };

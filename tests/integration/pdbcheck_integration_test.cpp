@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/checker.h"
+#include "common/temp_dir.h"
 #include "ductape/ductape.h"
 #include "pdb/writer.h"
 #include "pdt/pdt_paths.h"
@@ -32,22 +33,12 @@ namespace fs = std::filesystem;
 class PdbcheckIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_pdbcheck_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     options_.frontend.include_dirs.push_back(std::string(paths::kInputDir) +
                                              "/pooma_mini");
     options_.frontend.include_dirs.push_back(std::string(paths::kRuntimeDir) +
                                              "/pdt_stl");
     options_.frontend.include_dirs.push_back(dir_.string());
     krylov_ = std::string(paths::kInputDir) + "/pooma_mini/krylov.cpp";
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   std::string writeFile(const std::string& name, const std::string& text) {
@@ -95,7 +86,7 @@ int orphanHelper(int v) { return v * 2; }
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_pdbcheck_"};
   std::string krylov_;
   tools::DriverOptions options_;
 };

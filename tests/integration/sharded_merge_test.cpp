@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "ductape/ductape.h"
 #include "pdb/format.h"
 #include "pdb/writer.h"
@@ -28,12 +29,6 @@ class ShardedMergeTest : public ::testing::Test {
   static constexpr int kUnits = 24;
 
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_shard_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     for (int i = 0; i < kUnits; ++i) {
       const fs::path path = dir_ / ("tu" + std::to_string(i) + ".pdb");
       ASSERT_TRUE(pdb::writeFile(synthUnit(i), path.string(),
@@ -41,11 +36,6 @@ class ShardedMergeTest : public ::testing::Test {
       inputs_.push_back(path.string());
       total_input_bytes_ += fs::file_size(path);
     }
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   /// The in-memory merge's canonical serialization — the byte-identity
@@ -63,7 +53,7 @@ class ShardedMergeTest : public ::testing::Test {
     return (dir_ / "merge.tmp").string();
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_shard_"};
   std::vector<std::string> inputs_;
   std::uint64_t total_input_bytes_ = 0;
 };

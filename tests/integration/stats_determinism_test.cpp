@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/checker.h"
+#include "common/temp_dir.h"
 #include "pdt/pdt_paths.h"
 #include "support/trace.h"
 #include "tools/driver.h"
@@ -22,10 +24,6 @@ namespace fs = std::filesystem;
 class StatsDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_stats_det_" + std::to_string(::testing::UnitTest::GetInstance()
-                                                  ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     fs::create_directories(dir_ / "cache");
     writeTU("tu_vectors.cpp", R"cpp(
 #include "Array.h"
@@ -71,11 +69,6 @@ double useMixed() {
     uncached_.cache = {};
   }
 
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
   void writeTU(const std::string& name, const std::string& text) {
     std::ofstream os(dir_ / name);
     os << text;
@@ -93,7 +86,7 @@ double useMixed() {
     return result.counters.serialize();
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_stats_det_"};
   std::vector<std::string> inputs_;
   tools::DriverOptions cached_;
   tools::DriverOptions uncached_;
@@ -173,6 +166,29 @@ int useW() { return 1; }
   const auto by_tu = result.counters.keyed.find("diag.warnings.by_tu");
   ASSERT_NE(by_tu, result.counters.keyed.end());
   EXPECT_EQ(by_tu->second.at((dir_ / "tu_warn.cpp").string()), 1u);
+}
+
+TEST_F(StatsDeterminismTest, CheckCountersIdenticalAcrossJobCounts) {
+  const tools::DriverResult built = tools::compileAndMerge(inputs_, uncached_);
+  ASSERT_TRUE(built.success) << built.diagnostics;
+  const auto counters = [&](std::size_t jobs) {
+    trace::CounterBlock block;
+    {
+      const trace::CounterScope scope(&block);
+      analysis::CheckOptions options;
+      options.jobs = jobs;
+      EXPECT_TRUE(analysis::runChecks(*built.pdb, options).ok());
+    }
+    return block;
+  };
+  const trace::CounterBlock j1 = counters(1);
+  EXPECT_EQ(j1.serialize(), counters(4).serialize());
+  // The du index counts once per build: every stream of the database.
+  EXPECT_EQ(j1.get(trace::Counter::DuStreams),
+            built.pdb->raw().defUses().size());
+  EXPECT_GT(j1.get(trace::Counter::DuStreams), 0u);
+  EXPECT_GT(j1.get(trace::Counter::DataflowWorklistIterations),
+            j1.get(trace::Counter::DuStreams));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "pdb/format.h"
 #include "pdb/reader.h"
 #include "pdb/validate.h"
@@ -333,21 +334,12 @@ TEST(FormatCorruption, EveryBitFlipIsRejected) {
 class FormatCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_format_cache_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     fs::create_directories(dir_ / "cache");
     std::ofstream os(dir_ / "tu.cpp");
     os << "template <class T>\nT twice(T v) { return v + v; }\n"
           "int use() { return twice(21); }\n";
     inputs_.push_back((dir_ / "tu.cpp").string());
     options_.cache.dir = (dir_ / "cache").string();
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   [[nodiscard]] std::string compileBytes(tools::DriverResult& out) {
@@ -363,7 +355,7 @@ class FormatCacheTest : public ::testing::Test {
     return found;
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_format_cache_"};
   std::vector<std::string> inputs_;
   tools::DriverOptions options_;
 };

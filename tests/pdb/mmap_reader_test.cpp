@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "pdb/binary_layout.h"
 #include "pdb/snapshot.h"
 #include "pdb/writer.h"
@@ -96,19 +97,12 @@ PdbFile samplePdb() {
 class MmapReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_mmap_" + std::to_string(::testing::UnitTest::GetInstance()
-                                             ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     ascii_ = writeToString(samplePdb());
     binary_ = writeString(samplePdb(), Format::Binary);
   }
 
   void TearDown() override {
     setMmapMode(MmapMode::Auto);
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   [[nodiscard]] std::string writeBytes(const std::string& name,
@@ -132,7 +126,7 @@ class MmapReaderTest : public ::testing::Test {
     return {true, ""};
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_mmap_"};
   std::string ascii_;
   std::string binary_;
 };

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "common/temp_dir.h"
 #include "pdb/snapshot.h"
 #include "pdb/writer.h"
 
@@ -63,23 +64,13 @@ PdbFile samplePdb() {
 class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_snap_" + std::to_string(::testing::UnitTest::GetInstance()
-                                             ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     ascii_ = writeToString(samplePdb());
     path_ = (dir_ / "sample.pdb").string();
     std::ofstream os(path_, std::ios::binary);
     os.write(ascii_.data(), static_cast<std::streamsize>(ascii_.size()));
   }
 
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_snap_"};
   std::string path_;
   std::string ascii_;
 };

@@ -15,12 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "analysis/checker.h"
+#include "common/temp_dir.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
 #include "pdb/snapshot.h"
@@ -147,23 +149,11 @@ Message ask(Service& service, const std::string& request) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // ctest runs each test in its own process, where `this` can repeat
-    // (sanitizer builds place heap objects deterministically): the pid
-    // keeps parallel tests out of each other's directories.
-    dir_ = fs::temp_directory_path() /
-           ("pdt_pdbd_" + std::to_string(::getpid()) + "_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
     alpha_ = compileToFile(dir_ / "alpha.pdb", "alpha.cpp", kAlpha);
     beta_ = compileToFile(dir_ / "beta.pdb", "beta.cpp", kBeta);
   }
 
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_pdbd_"};
   std::string alpha_;
   std::string beta_;
 };
@@ -499,6 +489,38 @@ long procStatus(const std::string& field) {
   return -1;
 }
 
+/// A client socket connected to `socket_path`, retrying while the server
+/// starts listening; -1 when it never does.
+int connectTo(const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  for (int tries = 0; tries < 500; ++tries) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0)
+      return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends one request line on `fd` and reads its one-line reply.
+std::string exchange(int fd, const std::string& line) {
+  const std::string wire = line + "\n";
+  if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(wire.size()))
+    return {};
+  std::string reply;
+  char buf[4096];
+  while (reply.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  return reply;
+}
+
 TEST_F(ServiceTest, AcceptLoopJoinsFinishedConnectionThreads) {
   Service service;
   std::string error;
@@ -510,29 +532,9 @@ TEST_F(ServiceTest, AcceptLoopJoinsFinishedConnectionThreads) {
   int rc = -1;
   std::thread server([&] { rc = runServer(service, socket_path, log); });
   const auto request = [&socket_path](const std::string& line) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    std::string reply;
-    for (int tries = 0; tries < 500; ++tries) {
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) == 0) {
-        const std::string wire = line + "\n";
-        if (::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) !=
-            static_cast<ssize_t>(wire.size()))
-          break;
-        char buf[4096];
-        while (reply.find('\n') == std::string::npos) {
-          const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-          if (n <= 0) break;
-          reply.append(buf, static_cast<std::size_t>(n));
-        }
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ::close(fd);
+    const int fd = connectTo(socket_path);
+    const std::string reply = fd < 0 ? std::string() : exchange(fd, line);
+    if (fd >= 0) ::close(fd);
     return reply;
   };
 
@@ -562,6 +564,39 @@ TEST_F(ServiceTest, AcceptLoopJoinsFinishedConnectionThreads) {
   // 300 leaked 8 MiB stacks would add 2.4 GB; allow a few dozen threads.
   EXPECT_LT(vm_after_kb - vm_before_kb, 32L * 8 * 1024)
       << "VmSize " << vm_before_kb << " kB -> " << vm_after_kb << " kB";
+}
+
+TEST_F(ServiceTest, ShutdownReturnsWithAnIdleClientConnected) {
+  Service service;
+  std::string error;
+  ASSERT_TRUE(service.load(alpha_, error)) << error;
+  const std::string socket_path = (dir_ / "s.sock").string();
+  ASSERT_LT(socket_path.size(), sizeof(sockaddr_un{}.sun_path));
+
+  std::ostringstream log;
+  std::promise<int> returned;
+  std::future<int> rc = returned.get_future();
+  std::thread server(
+      [&] { returned.set_value(runServer(service, socket_path, log)); });
+
+  // The idle peer is accepted (it got an answer) and then sends nothing,
+  // so its connection thread sits in recv.
+  const int idle = connectTo(socket_path);
+  ASSERT_GE(idle, 0);
+  ASSERT_NE(exchange(idle, R"({"q": "status"})").find("\"ok\": true"),
+            std::string::npos);
+  const int other = connectTo(socket_path);
+  ASSERT_GE(other, 0);
+  EXPECT_NE(exchange(other, R"({"q": "shutdown"})").find("\"draining\": true"),
+            std::string::npos);
+  ::close(other);
+
+  const bool in_time =
+      rc.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  ::close(idle);  // lets a server stuck on the idle peer finish the join
+  server.join();
+  EXPECT_TRUE(in_time) << "runServer waited on the idle client";
+  EXPECT_EQ(rc.get(), 0) << log.str();
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/temp_dir.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
 #include "pdb/writer.h"
@@ -66,11 +67,7 @@ std::string compileToFile(const fs::path& path, const std::string& name,
 }
 
 TEST(ServiceMt, ConcurrentQueriesSurviveHotSwapsUntorn) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("pdt_pdbd_mt_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  fs::create_directories(dir);
+  const testutil::TempDir dir("pdt_pdbd_mt_");
   const std::string alpha = compileToFile(dir / "alpha.pdb", "a.cpp", kAlpha);
   const std::string beta = compileToFile(dir / "beta.pdb", "b.cpp", kBeta);
 
@@ -200,17 +197,10 @@ TEST(ServiceMt, ConcurrentQueriesSurviveHotSwapsUntorn) {
     EXPECT_EQ(classes, is_alpha ? alpha_classes : beta_classes)
         << "generation " << gen << " mixed databases";
   }
-
-  std::error_code ec;
-  fs::remove_all(dir, ec);
 }
 
 TEST(ServiceMt, ReadersFirstTouchAFreshGenerationTogether) {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("pdt_pdbd_mt_fresh_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  fs::create_directories(dir);
+  const testutil::TempDir dir("pdt_pdbd_mt_fresh_");
   // Both sources in one database, so the call tree has a class member
   // and beta's helper has def-use streams.
   const std::string db = compileToFile(dir / "both.pdb", "both.cpp",
@@ -272,9 +262,6 @@ TEST(ServiceMt, ReadersFirstTouchAFreshGenerationTogether) {
     for (std::thread& t : readers) t.join();
   }
   EXPECT_EQ(wrong.load(), 0);
-
-  std::error_code ec;
-  fs::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the content-addressed per-TU build cache: key
 // derivation (content + options), hit/miss/store accounting through the
 // driver, corruption fallback, and the size-capped LRU sweep.
+#include "common/temp_dir.h"
 #include "tools/build_cache.h"
 
 #include <gtest/gtest.h>
@@ -23,10 +24,6 @@ namespace fs = std::filesystem;
 class BuildCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("pdt_cache_" + std::to_string(::testing::UnitTest::GetInstance()
-                                              ->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     fs::create_directories(dir_ / "cache");
     write("util.h", R"cpp(
 #pragma once
@@ -43,11 +40,6 @@ double useB() { return twice(1.5); }
 )cpp");
     options_.frontend.include_dirs.push_back(dir_.string());
     options_.cache.dir = (dir_ / "cache").string();
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   void write(const std::string& name, const std::string& text) {
@@ -73,7 +65,7 @@ double useB() { return twice(1.5); }
     return found;
   }
 
-  fs::path dir_;
+  testutil::TempDir dir_{"pdt_cache_"};
   std::vector<std::string> inputs_;
   tools::DriverOptions options_;
 };
