@@ -77,7 +77,7 @@ void readBench(benchmark::State& state, pdt::pdb::MmapMode mode,
 
 /// Full materialization of every section.
 void BM_FullRead_Mmap(benchmark::State& state) {
-  readBench(state, pdt::pdb::MmapMode::On, pdt::pdb::Sections::All);
+  readBench(state, pdt::pdb::MmapMode::Auto, pdt::pdb::Sections::All);
 }
 void BM_FullRead_Buffered(benchmark::State& state) {
   readBench(state, pdt::pdb::MmapMode::Off, pdt::pdb::Sections::All);
@@ -87,7 +87,7 @@ void BM_FullRead_Buffered(benchmark::State& state) {
 /// include-tree query's working set); under mmap the class/routine/name
 /// payloads are never faulted in.
 void BM_MaskedRead_Mmap(benchmark::State& state) {
-  readBench(state, pdt::pdb::MmapMode::On, pdt::pdb::Sections::SourceFiles);
+  readBench(state, pdt::pdb::MmapMode::Auto, pdt::pdb::Sections::SourceFiles);
 }
 void BM_MaskedRead_Buffered(benchmark::State& state) {
   readBench(state, pdt::pdb::MmapMode::Off, pdt::pdb::Sections::SourceFiles);

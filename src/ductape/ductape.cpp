@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "pdb/reader.h"
+#include "pdb/snapshot.h"
 #include "pdb/writer.h"
 #include "support/trace.h"
 
@@ -36,10 +37,9 @@ std::string pdbItem::fullName() const {
 // Construction from the typed representation
 // ---------------------------------------------------------------------------
 
-PDB PDB::fromPdbFile(const pdb::PdbFile& file) {
+PDB PDB::fromPdbFile(pdb::PdbFile file) {
   PDB out;
-  out.raw_ = file;
-  out.raw_.reindex();
+  out.raw_ = std::move(file);
   out.graph_dirty_ = true;
   return out;
 }
@@ -49,30 +49,14 @@ PDB PDB::read(const std::string& path) {
 }
 
 PDB PDB::read(const std::string& path, pdb::Sections sections) {
-  PDB out;
   auto result = pdb::open(path, sections);
-  if (!result.opened) {
-    out.error_ = "cannot open '" + path + "'";
-    return out;
-  }
   if (!result.ok()) {
-    out.error_ = path + ": " + result.errors.front();
+    PDB out;
+    out.error_ = result.opened ? path + ": " + result.errors.front()
+                               : "cannot open '" + path + "'";
     return out;
   }
-  out.raw_ = pdb::releasePdb(std::move(result.snapshot));
-  out.graph_dirty_ = true;
-  return out;
-}
-
-PDB PDB::fromSnapshot(const pdb::SnapshotPtr& snapshot) {
-  PDB out;
-  if (snapshot == nullptr) {
-    out.error_ = "null snapshot";
-    return out;
-  }
-  out.raw_ = snapshot->clonePdb();
-  out.graph_dirty_ = true;
-  return out;
+  return fromPdbFile(pdb::releasePdb(std::move(result.snapshot)));
 }
 
 const pdbFile* PDB::fileById(std::uint32_t id) const {

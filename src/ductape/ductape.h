@@ -31,7 +31,6 @@
 
 #include "pdb/format.h"
 #include "pdb/pdb.h"
-#include "pdb/snapshot.h"
 
 namespace pdt::ductape {
 
@@ -455,13 +454,14 @@ class PDB {
   PDB(PDB&&) noexcept;
   PDB& operator=(PDB&&) noexcept;
 
-  /// Builds the object graph from an in-memory database.
-  static PDB fromPdbFile(const pdb::PdbFile& file);
-  /// Builds the object graph over an immutable snapshot. Flat copy: item
-  /// records are copied, string backings are shared with the snapshot.
-  static PDB fromSnapshot(const pdb::SnapshotPtr& snapshot);
+  /// Builds the object graph over a database, taking its records: pass
+  /// an rvalue to move them in (an lvalue is copied). The id maps must be
+  /// current (PdbFile::reindex after bulk mutation).
+  static PDB fromPdbFile(pdb::PdbFile file);
   /// Reads a PDB file from disk, auto-detecting the storage format (ASCII
-  /// or binary v2); empty PDB + error message on failure.
+  /// or binary v2): pdb::open, then releasePdb into fromPdbFile, so the
+  /// records are moved, never copied. Empty PDB + error message on
+  /// failure.
   static PDB read(const std::string& path);
   /// Lazy variant: materializes only `sections`. The object graph
   /// tolerates the missing cross-references (every lookup is guarded), so

@@ -932,9 +932,9 @@ void IlAnalyzer::collectDefUse(const FunctionDecl* fn, pdb::DefUseItem& item) {
           if (const auto it = tracked.find(var); it != tracked.end())
             flags = it->second;
           const bool constructed = var->resolved_ctor != nullptr ||
-                                   canonical(var->type) != nullptr &&
-                                       canonical(var->type)->kind() ==
-                                           TypeKind::Class;
+                                   (canonical(var->type) != nullptr &&
+                                    canonical(var->type)->kind() ==
+                                        TypeKind::Class);
           if (var->init == nullptr && var->ctor_args.empty() && !constructed)
             flags |= du::kUninit;
           if (var->init != nullptr && isNullConstant(var->init))

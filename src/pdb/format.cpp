@@ -9,40 +9,6 @@
 namespace pdt::pdb {
 namespace {
 
-class AsciiFormatReader final : public FormatReader {
- public:
-  [[nodiscard]] Format format() const override { return Format::Ascii; }
-  [[nodiscard]] ReadResult readBuffer(std::string_view bytes,
-                                      Sections sections) const override {
-    return readFromBuffer(bytes, sections);
-  }
-};
-
-class AsciiFormatWriter final : public FormatWriter {
- public:
-  [[nodiscard]] Format format() const override { return Format::Ascii; }
-  [[nodiscard]] std::string writeString(const PdbFile& pdb) const override {
-    return writeToString(pdb);
-  }
-};
-
-class BinaryFormatReader final : public FormatReader {
- public:
-  [[nodiscard]] Format format() const override { return Format::Binary; }
-  [[nodiscard]] ReadResult readBuffer(std::string_view bytes,
-                                      Sections sections) const override {
-    return readBinaryFromBuffer(bytes, sections);
-  }
-};
-
-class BinaryFormatWriter final : public FormatWriter {
- public:
-  [[nodiscard]] Format format() const override { return Format::Binary; }
-  [[nodiscard]] std::string writeString(const PdbFile& pdb) const override {
-    return writeBinaryToString(pdb);
-  }
-};
-
 std::atomic<MmapMode> g_mmap_mode{MmapMode::Auto};
 
 }  // namespace
@@ -65,22 +31,12 @@ Format detectFormat(std::string_view bytes) {
   return isBinaryPdb(bytes) ? Format::Binary : Format::Ascii;
 }
 
-const FormatReader& readerFor(Format format) {
-  static const AsciiFormatReader ascii;
-  static const BinaryFormatReader binary;
-  return format == Format::Binary ? static_cast<const FormatReader&>(binary)
-                                  : ascii;
-}
-
-const FormatWriter& writerFor(Format format) {
-  static const AsciiFormatWriter ascii;
-  static const BinaryFormatWriter binary;
-  return format == Format::Binary ? static_cast<const FormatWriter&>(binary)
-                                  : ascii;
-}
-
 ReadResult readBuffer(std::string_view bytes, Sections sections) {
-  return readerFor(detectFormat(bytes)).readBuffer(bytes, sections);
+  switch (detectFormat(bytes)) {
+    case Format::Binary: return readBinaryFromBuffer(bytes, sections);
+    case Format::Ascii: break;
+  }
+  return readFromBuffer(bytes, sections);
 }
 
 void setMmapMode(MmapMode mode) {
@@ -90,7 +46,6 @@ void setMmapMode(MmapMode mode) {
 MmapMode mmapMode() { return g_mmap_mode.load(std::memory_order_relaxed); }
 
 std::optional<MmapMode> mmapModeFromName(std::string_view name) {
-  if (name == "on") return MmapMode::On;
   if (name == "off") return MmapMode::Off;
   if (name == "auto") return MmapMode::Auto;
   return std::nullopt;
@@ -104,18 +59,25 @@ bool parseMmapFlag(std::string_view arg, std::string& error) {
     setMmapMode(*mode);
   } else {
     error = "unknown --mmap mode '" + std::string(name) +
-            "' (expected auto, on, or off)";
+            "' (expected auto or off)";
   }
   return true;
 }
 
 std::string writeString(const PdbFile& pdb, Format format) {
-  return writerFor(format).writeString(pdb);
+  switch (format) {
+    case Format::Binary: return writeBinaryToString(pdb);
+    case Format::Ascii: break;
+  }
+  return writeToString(pdb);
 }
 
 bool writeFile(const PdbFile& pdb, const std::string& path, Format format) {
-  if (format == Format::Ascii) return writeToFile(pdb, path);
-  return writeBinaryToFile(pdb, path);
+  switch (format) {
+    case Format::Binary: return writeBinaryToFile(pdb, path);
+    case Format::Ascii: break;
+  }
+  return writeToFile(pdb, path);
 }
 
 }  // namespace pdt::pdb

@@ -1,11 +1,11 @@
-// Pluggable PDB storage formats.
+// The two PDB storage formats and the I/O policy shared by every reader.
 //
 // The ASCII grammar of docs/PDB_FORMAT.md stays the canonical interchange
-// form (what the paper's pdbconv calls "a standardized form"); this seam
-// lets tools store and load the same database in other representations —
-// today the compact binary v2 — without the DUCTAPE API or any consumer
-// caring which bytes are on disk. Readers auto-detect the format from the
-// leading magic bytes; writers are chosen explicitly (`--format`).
+// form (what the paper's pdbconv calls "a standardized form"); the compact
+// binary v2 stores the same database, and neither the DUCTAPE API nor any
+// consumer cares which bytes are on disk. readBuffer() auto-detects the
+// format from the leading magic bytes and writeString()/writeFile() take
+// it explicitly (`--format`); each switches on Format directly.
 #pragma once
 
 #include <optional>
@@ -36,50 +36,27 @@ inline constexpr std::string_view kBinaryMagic{"\x89PDB2\r\n\x1a", 8};
 /// (whose own reader rejects malformed headers).
 [[nodiscard]] Format detectFormat(std::string_view bytes);
 
-/// Deserializes one storage format. `sections` is the lazy-read mask: the
-/// reader materializes at most those sections (the binary reader skips
-/// unrequested sections in O(1) via its section table; the ASCII reader
-/// skips their attribute decoding). `ReadResult::loaded` records what was
-/// actually materialized.
-class FormatReader {
- public:
-  virtual ~FormatReader() = default;
-  [[nodiscard]] virtual Format format() const = 0;
-  [[nodiscard]] virtual ReadResult readBuffer(std::string_view bytes,
-                                              Sections sections) const = 0;
-};
-
-/// Serializes to one storage format. Output is deterministic: the same
-/// PdbFile always produces the same bytes.
-class FormatWriter {
- public:
-  virtual ~FormatWriter() = default;
-  [[nodiscard]] virtual Format format() const = 0;
-  [[nodiscard]] virtual std::string writeString(const PdbFile& pdb) const = 0;
-};
-
-/// Registry: one stateless singleton per format.
-[[nodiscard]] const FormatReader& readerFor(Format format);
-[[nodiscard]] const FormatWriter& writerFor(Format format);
-
-/// Auto-detecting read of serialized bytes. Zero-copy: the result's string
-/// fields alias `bytes`, which must outlive the database (or be adopted via
-/// PdbFile::adoptBacking). The file-level pdb::open (snapshot.h) handles
-/// this.
+/// Auto-detecting read of serialized bytes. `sections` is the lazy-read
+/// mask: at most those sections are materialized (the binary reader skips
+/// the others in O(1) via its section table; the ASCII reader skips their
+/// attribute decoding), and `ReadResult::loaded` records what was.
+/// Zero-copy: the result's string fields alias `bytes`, which must outlive
+/// the database (or be adopted via PdbFile::adoptBacking). The file-level
+/// pdb::open (snapshot.h) handles this.
 [[nodiscard]] ReadResult readBuffer(std::string_view bytes,
                                     Sections sections = Sections::All);
 
-/// How pdb::open acquires file bytes (--mmap=on|off|auto). Auto (default)
-/// memory-maps where the platform supports it; On insists on mmap but
-/// still falls back to a buffered read when mapping fails (torn file,
-/// exotic filesystem); Off always reads into an owned buffer.
-enum class MmapMode : std::uint8_t { Auto, On, Off };
+/// How pdb::open acquires file bytes (--mmap=auto|off). Auto (default)
+/// memory-maps where the platform supports it and falls back to a
+/// buffered read when mapping fails (torn file, exotic filesystem); Off
+/// always reads into an owned buffer.
+enum class MmapMode : std::uint8_t { Auto, Off };
 
 /// Process-wide mmap policy for pdb::open; tools set it from --mmap.
 void setMmapMode(MmapMode mode);
 [[nodiscard]] MmapMode mmapMode();
 
-/// Accepts "on", "off", "auto"; nullopt otherwise.
+/// Accepts "auto", "off"; nullopt otherwise.
 [[nodiscard]] std::optional<MmapMode> mmapModeFromName(std::string_view name);
 
 /// Uniform `--mmap=MODE` command-line handling for every tool that reads
@@ -88,7 +65,8 @@ void setMmapMode(MmapMode mode);
 /// true with `error` filled for a malformed mode name.
 bool parseMmapFlag(std::string_view arg, std::string& error);
 
-/// Serializes in the requested format.
+/// Serializes in the requested format. Deterministic: the same PdbFile
+/// always produces the same bytes.
 [[nodiscard]] std::string writeString(const PdbFile& pdb, Format format);
 
 /// Writes to `path` in the requested format; false on I/O failure.

@@ -169,19 +169,4 @@ void PdbFile::reindex() {
   rebuild(dyn_profs_, dyn_prof_index_, next_dyn_prof_id_);
 }
 
-void PdbFile::adoptSections(PdbFile&& other, Sections which) {
-  const auto wants = [which](Sections s) { return hasSections(which, s); };
-  if (wants(Sections::SourceFiles)) files_ = std::move(other.files_);
-  if (wants(Sections::Routines)) routines_ = std::move(other.routines_);
-  if (wants(Sections::Classes)) classes_ = std::move(other.classes_);
-  if (wants(Sections::Types)) types_ = std::move(other.types_);
-  if (wants(Sections::Templates)) templates_ = std::move(other.templates_);
-  if (wants(Sections::Namespaces)) namespaces_ = std::move(other.namespaces_);
-  if (wants(Sections::Macros)) macros_ = std::move(other.macros_);
-  if (wants(Sections::DefUses)) def_uses_ = std::move(other.def_uses_);
-  if (wants(Sections::DynProfs)) dyn_profs_ = std::move(other.dyn_profs_);
-  adoptBackingsOf(other);
-  reindex();
-}
-
 }  // namespace pdt::pdb

@@ -342,13 +342,6 @@ class PdbFile {
     if (other.arena_ != nullptr) backings_.push_back(other.arena_);
   }
 
-  /// Moves the item vectors (and id counters) of the sections in `which`
-  /// out of `other` into this database, adopting other's backings so the
-  /// moved views stay valid, then rebuilds the id->index maps. This is how
-  /// snapshot widening combines freshly-parsed sections with the ones
-  /// already materialized — a flat splice, no string data is copied.
-  void adoptSections(PdbFile&& other, Sections which);
-
   /// Copies `text` into this database's own arena and returns a stable
   /// view. Unlike intern(), the storage is released with the database —
   /// use it for strings synthesized during a parse (unescaped template

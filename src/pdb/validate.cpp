@@ -1,5 +1,8 @@
 #include "pdb/validate.h"
 
+#include <optional>
+#include <string_view>
+
 namespace pdt::pdb {
 
 namespace {
@@ -10,16 +13,14 @@ class Validator {
 
   std::vector<std::string> run() {
     for (const auto& f : pdb_.sourceFiles()) {
-      where_ = "source file '" + std::string(f.name) + "' (so#" + std::to_string(f.id) +
-               at(f.src_offset, ItemKind::SourceFile) + ")";
+      item_ = {"source file", f.name, ItemKind::SourceFile, f.id, f.src_offset};
       for (const std::uint32_t inc : f.includes) {
         if (checkable(ItemKind::SourceFile) && pdb_.findSourceFile(inc) == nullptr)
           fail("includes undefined so#" + std::to_string(inc));
       }
     }
     for (const auto& r : pdb_.routines()) {
-      where_ = "routine '" + std::string(r.name) + "' (ro#" + std::to_string(r.id) +
-               at(r.src_offset, ItemKind::Routine) + ")";
+      item_ = {"routine", r.name, ItemKind::Routine, r.id, r.src_offset};
       checkPos(r.location, "location");
       checkParent(r.parent);
       if (checkable(ItemKind::Type) && r.signature != 0 &&
@@ -37,8 +38,7 @@ class Validator {
       checkExtent(r.extent);
     }
     for (const auto& c : pdb_.classes()) {
-      where_ = "class '" + std::string(c.name) + "' (cl#" + std::to_string(c.id) +
-               at(c.src_offset, ItemKind::Class) + ")";
+      item_ = {"class", c.name, ItemKind::Class, c.id, c.src_offset};
       checkPos(c.location, "location");
       checkParent(c.parent);
       if (checkable(ItemKind::Template) && c.template_id &&
@@ -59,50 +59,45 @@ class Validator {
         checkPos(mf.location, "member function");
       }
       for (const auto& m : c.members) {
-        checkRef(m.type, "member '" + std::string(m.name) + "' type");
-        checkPos(m.location, "member '" + std::string(m.name) + "'");
+        checkRef(m.type, {"member", m.name, " type"});
+        checkPos(m.location, {"member", m.name});
       }
       checkExtent(c.extent);
     }
     for (const auto& t : pdb_.types()) {
-      where_ = "type '" + std::string(t.name) + "' (ty#" + std::to_string(t.id) +
-               at(t.src_offset, ItemKind::Type) + ")";
+      item_ = {"type", t.name, ItemKind::Type, t.id, t.src_offset};
       if (t.ref) checkRef(*t.ref, "referenced type");
       if (t.return_type) checkRef(*t.return_type, "return type");
       for (const auto& p : t.params) checkRef(p, "parameter type");
       for (const auto& e : t.exception_specs) checkRef(e, "exception spec");
     }
     for (const auto& t : pdb_.templates()) {
-      where_ = "template '" + std::string(t.name) + "' (te#" + std::to_string(t.id) +
-               at(t.src_offset, ItemKind::Template) + ")";
+      item_ = {"template", t.name, ItemKind::Template, t.id, t.src_offset};
       checkPos(t.location, "location");
       checkParent(t.parent);
       checkExtent(t.extent);
     }
     for (const auto& n : pdb_.namespaces()) {
-      where_ = "namespace '" + std::string(n.name) + "' (na#" + std::to_string(n.id) +
-               at(n.src_offset, ItemKind::Namespace) + ")";
+      item_ = {"namespace", n.name, ItemKind::Namespace, n.id, n.src_offset};
       checkPos(n.location, "location");
       for (const auto& m : n.members) checkRef(m, "member");
     }
     for (const auto& m : pdb_.macros()) {
-      where_ = "macro '" + std::string(m.name) + "' (ma#" + std::to_string(m.id) +
-               at(m.src_offset, ItemKind::Macro) + ")";
+      item_ = {"macro", m.name, ItemKind::Macro, m.id, m.src_offset};
       checkPos(m.location, "location");
     }
     for (const auto& d : pdb_.defUses()) {
-      where_ = "def-use stream (du#" + std::to_string(d.id) +
-               at(d.src_offset, ItemKind::DefUse) + ")";
+      item_ = {"def-use stream", std::nullopt, ItemKind::DefUse, d.id,
+               d.src_offset};
       if (checkable(ItemKind::Routine) && d.routine != 0 &&
           pdb_.findRoutine(d.routine) == nullptr)
         fail("belongs to undefined ro#" + std::to_string(d.routine));
       if (d.routine == 0) fail("has no owning routine");
       for (const auto& e : d.events)
-        checkPos(e.pos, "event '" + std::string(e.name) + "'");
+        checkPos(e.pos, {"event", e.name});
     }
     for (const auto& p : pdb_.dynProfs()) {
-      where_ = "dynamic profile '" + std::string(p.name) + "' (dp#" +
-               std::to_string(p.id) + at(p.src_offset, ItemKind::DynProf) + ")";
+      item_ = {"dynamic profile", p.name, ItemKind::DynProf, p.id, p.src_offset};
       if (checkable(ItemKind::Routine) && p.routine != 0 &&
           pdb_.findRoutine(p.routine) == nullptr)
         fail("links undefined ro#" + std::to_string(p.routine));
@@ -122,29 +117,54 @@ class Validator {
     return hasSections(loaded_, sectionOf(kind));
   }
 
-  /// Where the item's record lives in the file it was read from: ", line
-  /// N" (ASCII), ", byte N" (binary), or nothing for databases built in
-  /// memory — so corrupt files are actionable without changing messages
-  /// elsewhere.
-  [[nodiscard]] std::string at(std::uint64_t offset, ItemKind kind) const {
+  /// What a check is about: plain text ("location"), or text naming a
+  /// member or an event ("member 'x' type"). Rendered only on failure.
+  struct Label {
+    /// Implicit, so plain labels are written as string literals.
+    Label(const char* text) : text(text) {}
+    Label(std::string_view text, std::string_view quoted,
+          std::string_view suffix = {})
+        : text(text), quoted(quoted), suffix(suffix) {}
+
+    [[nodiscard]] std::string str() const {
+      if (!quoted) return std::string(text);
+      return std::string(text) + " '" + std::string(*quoted) + "'" +
+             std::string(suffix);
+    }
+
+    std::string_view text;
+    std::optional<std::string_view> quoted;
+    std::string_view suffix;
+  };
+
+  /// "routine 'f' (ro#3, line 42)": the item's kind, name, id, and where
+  /// its record lives in the file it was read from — ", line N" (ASCII),
+  /// ", byte N of <prefix> section" (binary; offsets are section-relative
+  /// so the section is named too), or nothing for databases built in
+  /// memory — so corrupt files are actionable.
+  [[nodiscard]] std::string where() const {
+    const std::string prefix(prefixOf(item_.kind));
+    std::string out(item_.noun);
+    if (item_.name) out += " '" + std::string(*item_.name) + "'";
+    out += " (" + prefix + "#" + std::to_string(item_.id);
     switch (pdb_.offsetUnit()) {
-      case OffsetUnit::Line: return ", line " + std::to_string(offset);
+      case OffsetUnit::Line: out += ", line " + std::to_string(item_.offset); break;
       case OffsetUnit::Byte:
-        // Binary offsets are section-relative, so name the section too —
-        // "byte 120" alone is not actionable against the section table.
-        return ", byte " + std::to_string(offset) + " of " +
-               std::string(prefixOf(kind)) + " section";
+        out += ", byte " + std::to_string(item_.offset) + " of " + prefix + " section";
+        break;
       case OffsetUnit::None: break;
     }
-    return {};
+    return out + ")";
   }
 
-  void fail(const std::string& what) { errors_.push_back(where_ + ": " + what); }
+  void fail(const std::string& what) {
+    errors_.push_back(where() + ": " + what);
+  }
 
-  void checkPos(const Pos& pos, const std::string& what) {
+  void checkPos(const Pos& pos, const Label& what) {
     if (!checkable(ItemKind::SourceFile)) return;
     if (pos.file != 0 && pdb_.findSourceFile(pos.file) == nullptr)
-      fail(what + " references undefined so#" + std::to_string(pos.file));
+      fail(what.str() + " references undefined so#" + std::to_string(pos.file));
   }
 
   void checkExtent(const Extent& e) {
@@ -158,7 +178,7 @@ class Validator {
     if (parent) checkRef(*parent, "parent");
   }
 
-  void checkRef(const ItemRef& ref, const std::string& what) {
+  void checkRef(const ItemRef& ref, const Label& what) {
     if (ref.id == 0 || !checkable(ref.kind)) return;
     bool found = false;
     switch (ref.kind) {
@@ -172,12 +192,21 @@ class Validator {
       case ItemKind::DefUse: found = pdb_.findDefUse(ref.id) != nullptr; break;
       case ItemKind::DynProf: found = pdb_.findDynProf(ref.id) != nullptr; break;
     }
-    if (!found) fail(what + " references undefined " + ref.str());
+    if (!found) fail(what.str() + " references undefined " + ref.str());
   }
+
+  /// The item under check; described only if one of its checks fails.
+  struct Item {
+    std::string_view noun;
+    std::optional<std::string_view> name;
+    ItemKind kind = ItemKind::SourceFile;
+    std::uint32_t id = 0;
+    std::uint64_t offset = 0;
+  };
 
   const PdbFile& pdb_;
   Sections loaded_;
-  std::string where_;
+  Item item_;
   std::vector<std::string> errors_;
 };
 

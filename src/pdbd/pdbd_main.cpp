@@ -17,7 +17,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: pdbd <file.pdb> --socket PATH [--mmap=MODE]\n"
     "  --socket PATH    Unix socket to listen on (required)\n"
-    "  --mmap=MODE      input mapping: auto (default), on, off\n"
+    "  --mmap=MODE      input mapping: auto (default), off\n"
     "Serves lookup/includes/hierarchy/calltree/profile/defuse/check\n"
     "queries over line-delimited JSON; see docs/PDBD.md. Runs until a\n"
     "client sends {\"q\": \"shutdown\"}.\n"

@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -110,7 +111,7 @@ std::size_t serveConnection(int fd, Service& service) {
 }
 
 int runServer(Service& service, const std::string& socket_path,
-              std::ostream& log) {
+              std::ostream& log, std::size_t* peak_unjoined) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) {
     log << "pdbd: socket: " << std::strerror(errno) << '\n';
@@ -137,6 +138,7 @@ int runServer(Service& service, const std::string& socket_path,
   log << "pdbd: listening on '" << socket_path << "'\n";
 
   std::list<Client> clients;  // stable addresses: each thread flags its own
+  std::size_t peak = 0;
   const auto reap = [&clients] {
     for (auto it = clients.begin(); it != clients.end();) {
       if (!it->done.load(std::memory_order_acquire)) {
@@ -159,6 +161,7 @@ int runServer(Service& service, const std::string& socket_path,
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) continue;
     Client& entry = clients.emplace_back();
+    peak = std::max(peak, clients.size());
     entry.fd = client;
     entry.thread = std::thread([client, &service, &done = entry.done] {
       serveConnection(client, service);
@@ -178,6 +181,7 @@ int runServer(Service& service, const std::string& socket_path,
   }
   ::close(listener);
   ::unlink(socket_path.c_str());
+  if (peak_unjoined != nullptr) *peak_unjoined = peak;
   return 0;
 }
 

@@ -27,8 +27,11 @@ std::size_t serveConnection(int fd, Service& service);
 
 /// Binds `socket_path`, announces readiness on `log`, and serves until
 /// the service's shutdown flag is raised. Returns 0 on a clean drain,
-/// 1 if the socket could not be set up (with the reason on `log`).
+/// 1 if the socket could not be set up (with the reason on `log`). When
+/// `peak_unjoined` is non-null it receives, on return, the most
+/// connection threads the accept loop held unjoined at once — what the
+/// joining of finished threads keeps small.
 int runServer(Service& service, const std::string& socket_path,
-              std::ostream& log);
+              std::ostream& log, std::size_t* peak_unjoined = nullptr);
 
 }  // namespace pdt::pdbd

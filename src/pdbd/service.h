@@ -1,10 +1,11 @@
 // The pdbd query service: an atomically published database generation
 // plus the verb dispatcher that answers protocol requests against it.
 //
-// One Generation bundles an immutable pdb::Snapshot, the query::Index
-// built over it (prewarmed, so every query path is safe to share), the
-// snapshot's process-unique generation number, and the reply memo of the
-// whole-database verbs.
+// One Generation bundles the query::Index built over one opened
+// pdb::Snapshot (prewarmed, so every query path is safe to share), the
+// snapshot's process-unique generation number and byte size, and the
+// reply memo of the whole-database verbs. The snapshot itself is not
+// kept, so each published generation holds one copy of the records.
 //
 //   * readers acquire the current Generation once per request and answer
 //     entirely from it — wait-free, and every response names exactly the
@@ -52,9 +53,9 @@ namespace pdt::pdbd {
 
 /// One immutable, prewarmed database generation.
 struct Generation {
-  pdb::SnapshotPtr snapshot;
   std::unique_ptr<const query::Index> index;
-  std::uint64_t id = 0;  // == snapshot->generation()
+  std::uint64_t id = 0;     // the snapshot's generation number
+  std::uint64_t bytes = 0;  // the snapshot's on-disk size
   std::string db_path;
 
   /// One memoized reply line, rendered by the first request that needs

@@ -13,15 +13,11 @@ std::string locSuffix(const ductape::pdbLoc& loc) {
 
 }  // namespace
 
-Index::Index(pdb::SnapshotPtr snapshot) : snapshot_(std::move(snapshot)) {
-  owned_.emplace(ductape::PDB::fromSnapshot(snapshot_));
-  pdb_ = &*owned_;
-}
+Index::Index(pdb::SnapshotPtr snapshot)
+    : Index(pdb::releasePdb(std::move(snapshot))) {}
 
-Index::Index(pdb::PdbFile pdb) {
-  owned_.emplace(ductape::PDB::fromPdbFile(pdb));
-  pdb_ = &*owned_;
-}
+Index::Index(pdb::PdbFile pdb)
+    : owned_(ductape::PDB::fromPdbFile(std::move(pdb))), pdb_(&*owned_) {}
 
 Index::Index(const ductape::PDB& pdb) : pdb_(&pdb) {}
 

@@ -20,6 +20,10 @@
 // sharing: it forces exactly that state, through roots() and names().
 // defUse() and analysis() stay lazy: the first reader to need one builds
 // it under its once_flag while any concurrent first reader waits.
+//
+// An owned graph takes its records by move — from a PdbFile, or from a
+// snapshot through pdb::releasePdb — so building an Index copies them
+// only when the caller still holds the snapshot it was given.
 #pragma once
 
 #include <cstdint>
@@ -40,11 +44,13 @@ namespace pdt::query {
 
 class Index {
  public:
-  /// Over an immutable snapshot (pdbd's path). The snapshot is retained;
-  /// the object graph is a flat copy sharing its string backings.
+  /// Over a non-null snapshot (pdbd's path). The records are taken
+  /// through pdb::releasePdb: moved when this is the only reference (pass
+  /// it with std::move), copied when the caller still holds the snapshot.
   explicit Index(pdb::SnapshotPtr snapshot);
 
-  /// Over an in-memory database (pipelines that built or merged one).
+  /// Over an in-memory database (pipelines that built or merged one);
+  /// its records are moved into the object graph.
   explicit Index(pdb::PdbFile pdb);
 
   /// Over a caller-owned object graph (one-shot tools). Borrows `pdb`;
@@ -53,9 +59,6 @@ class Index {
 
   Index(const Index&) = delete;
   Index& operator=(const Index&) = delete;
-
-  /// Null unless constructed from a snapshot.
-  [[nodiscard]] const pdb::SnapshotPtr& snapshot() const { return snapshot_; }
 
   [[nodiscard]] const ductape::PDB& pdb() const { return *pdb_; }
 
@@ -88,7 +91,6 @@ class Index {
   const std::unordered_map<std::string, std::vector<std::string>>& names()
       const;
 
-  pdb::SnapshotPtr snapshot_;
   std::optional<ductape::PDB> owned_;
   const ductape::PDB* pdb_ = nullptr;
 

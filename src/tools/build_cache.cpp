@@ -316,7 +316,7 @@ std::optional<pdb::PdbFile> BuildCache::fetch(const CacheKey& key,
   (void)atomicWrite(manifest_path, renderManifest(key, nowStamp(), manifest->size));
   ++stats.hits;
   if (replay != nullptr) *replay = *sidecar;
-  return read.snapshot->clonePdb();
+  return pdb::releasePdb(std::move(read.snapshot));
 }
 
 void BuildCache::store(const CacheKey& key, const pdb::PdbFile& pdb,

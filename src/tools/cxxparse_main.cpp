@@ -55,7 +55,7 @@ constexpr const char* kUsage =
     "  --format=FMT        output database format: ascii (default) or bin\n"
     "                      (binary PDB v2; see docs/PDB_FORMAT.md)\n"
     "  --mmap=MODE         how binary databases (e.g. cache entries) are\n"
-    "                      read: auto (default), on, off\n";
+    "                      read: auto (default), off\n";
 
 /// Parses a -j/--jobs value: a positive decimal integer. Exits with a
 /// diagnostic on 0 or non-numeric input instead of quietly misbehaving.

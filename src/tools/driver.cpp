@@ -118,15 +118,15 @@ DriverResult compileAndMerge(const std::vector<std::string>& inputs,
   // Emit diagnostics and merge in input order; both match the serial run
   // byte for byte (the merge is order-dependent, the compiles are not).
   std::optional<ductape::PDB> merged;
-  for (const UnitResult& unit : units) {
+  for (UnitResult& unit : units) {
     out.diagnostics += unit.diagnostics;
     out.cache_stats += unit.cache_stats;
     out.counters += unit.counters;
     if (!unit.success) return out;
     if (!merged) {
-      merged = ductape::PDB::fromPdbFile(unit.pdb);
+      merged = ductape::PDB::fromPdbFile(std::move(unit.pdb));
     } else {
-      merged->merge(ductape::PDB::fromPdbFile(unit.pdb));
+      merged->merge(ductape::PDB::fromPdbFile(std::move(unit.pdb)));
     }
   }
   out.pdb = std::move(merged);

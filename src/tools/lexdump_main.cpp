@@ -38,6 +38,7 @@ const char* kindName(pdt::lex::TokenKind k) {
     case TokenKind::HeaderName: return "header";
     case TokenKind::End: return "eof";
   }
+  return "?";
 }
 
 void dump(std::ostream& os, const pdt::lex::Token& t) {

@@ -33,7 +33,7 @@ constexpr const char* kUsage =
     "  --stats[=json]   finding counters + per-rule timing on stderr\n"
     "  --stats-out FILE write the stats report to FILE\n"
     "  --trace-out FILE write a Chrome trace_event JSON timeline to FILE\n"
-    "  --mmap=MODE      input mapping: auto (default), on, off\n"
+    "  --mmap=MODE      input mapping: auto (default), off\n"
     "exit codes: 0 clean, 1 findings, 2 usage error, 3 invalid input\n";
 
 /// Renders a section mask as the section prefixes it selects ("so ro du").

@@ -20,7 +20,7 @@ constexpr const char* kUsage =
     "  --to=FORMAT    rewrite the database in FORMAT (ascii or bin);\n"
     "                 the input's own format is auto-detected\n"
     "  -o FILE        write the result to FILE instead of stdout\n"
-    "  --mmap=MODE    input mapping: auto (default), on, off\n";
+    "  --mmap=MODE    input mapping: auto (default), off\n";
 
 }  // namespace
 

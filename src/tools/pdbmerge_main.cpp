@@ -32,7 +32,7 @@ constexpr const char* kUsage =
     "                    worker's partial exceeds its slice of N MiB\n"
     "                    (0 or absent = classic in-memory merge; the\n"
     "                    output bytes are identical either way)\n"
-    "  --mmap=MODE       binary input mapping: auto (default), on, off\n"
+    "  --mmap=MODE       binary input mapping: auto (default), off\n"
     "  --stats[=json]    merge counter + phase timing report on stderr\n"
     "  --stats-out FILE  write the stats report to FILE\n"
     "  --trace-out FILE  write a Chrome trace_event JSON timeline to FILE\n";

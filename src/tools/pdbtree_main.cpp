@@ -24,7 +24,7 @@ constexpr const char* kUsage =
     "  --stats[=json]    counter + phase timing report on stderr\n"
     "  --stats-out FILE  write the stats report to FILE\n"
     "  --trace-out FILE  write a Chrome trace_event JSON timeline to FILE\n"
-    "  --mmap=MODE       input mapping: auto (default), on, off\n";
+    "  --mmap=MODE       input mapping: auto (default), off\n";
 
 using pdt::pdb::Sections;
 

@@ -27,7 +27,7 @@ constexpr const char* kUsage =
     "                   else a fresh one) with the merged profile attached\n"
     "                   as a dp section\n"
     "  --db-format=FMT  database format for --db-out: ascii (default) | bin\n"
-    "  --mmap=MODE      --pdb input mapping: auto (default), on, off\n"
+    "  --mmap=MODE      --pdb input mapping: auto (default), off\n"
     "exit codes: 0 ok, 2 usage error, 3 invalid input\n";
 
 }  // namespace
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
                   << '\n';
         return 3;
       }
-      pdb = read.snapshot->clonePdb();
+      pdb = pdt::pdb::releasePdb(std::move(read.snapshot));
     }
     const std::size_t linked = pdt::tau::attachDynProfSection(merged, pdb);
     if (!pdt::pdb::writeFile(pdb, db_out, db_format)) {

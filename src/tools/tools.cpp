@@ -33,6 +33,7 @@ std::string_view templateKindName(pdbItem::templ_t k) {
     case pdbItem::TE_FUNC: return "function template";
     case pdbItem::TE_MEMFUNC: return "member function template";
     case pdbItem::TE_STATMEM: return "static member template";
+    case pdbItem::TE_ALIAS: return "alias template";
   }
   return "?";
 }

@@ -5,9 +5,11 @@
 #include <sstream>
 #include <type_traits>
 
+#include "common/temp_dir.h"
 #include "ductape/ductape.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
+#include "pdb/snapshot.h"
 #include "pdb/writer.h"
 
 namespace pdt::ductape {
@@ -221,6 +223,31 @@ TEST(Ductape, ReadMissingFileReportsError) {
   PDB pdb = PDB::read("/nonexistent/never.pdb");
   EXPECT_FALSE(pdb.valid());
   EXPECT_FALSE(pdb.errorMessage().empty());
+}
+
+// PDB::read is pdb::open -> releasePdb -> fromPdbFile: the records the
+// reader produced become the graph's records, with no copy on the way.
+TEST(Ductape, ReadPathMovesTheOpenedRecordsIntoTheGraph) {
+  const testutil::TempDir dir{"pdt_ductape_"};
+  const std::string path = (dir / "stack.pdb").string();
+  ASSERT_TRUE(compileToPdb("stack.cpp", kStackSource)
+                  .write(path, pdb::Format::Binary));
+
+  pdb::OpenResult opened = pdb::open(path);
+  ASSERT_TRUE(opened.ok());
+  const pdb::PdbFile& records = opened.snapshot->pdb();
+  const auto* routines = records.routines().data();
+  const auto* classes = records.classes().data();
+  const auto* types = records.types().data();
+  const PDB pdb = PDB::fromPdbFile(pdb::releasePdb(std::move(opened.snapshot)));
+  EXPECT_EQ(pdb.raw().routines().data(), routines);
+  EXPECT_EQ(pdb.raw().classes().data(), classes);
+  EXPECT_EQ(pdb.raw().types().data(), types);
+
+  const PDB read = PDB::read(path);
+  ASSERT_TRUE(read.valid()) << read.errorMessage();
+  EXPECT_EQ(pdb::writeToString(read.raw()), pdb::writeToString(pdb.raw()));
+  EXPECT_EQ(read.getRoutineVec().size(), pdb.getRoutineVec().size());
 }
 
 // ---------------------------------------------------------------------------

@@ -135,16 +135,14 @@ TEST_F(MmapReaderTest, DatabaseOwnsItsViewsBeyondEveryScope) {
   PdbFile moved;
   {
     const std::string path = writeBytes("sample.pdb", binary_);
-    setMmapMode(MmapMode::On);
     auto result = open(path);
-    setMmapMode(MmapMode::Auto);
     ASSERT_TRUE(result.ok());
-    // The mapping's only owner is the snapshot (and any database cloned
-    // from it); deleting the directory entry must not invalidate it
+    // The mapping's only owner is the snapshot (and then the database
+    // released from it); deleting the directory entry must not invalidate it
     // (POSIX keeps unlinked mappings readable — exactly what the sharded
     // merge's spill cleanup relies on).
     fs::remove(path);
-    moved = result.snapshot->clonePdb();
+    moved = releasePdb(std::move(result.snapshot));
   }
   // A copy shares the adopted backing rather than re-owning strings.
   const PdbFile copy = moved;  // NOLINT(performance-unnecessary-copy-initialization)
@@ -162,8 +160,8 @@ TEST_F(MmapReaderTest, MmapModeCountsBytesMappedAndOffDoesNot) {
             0u);
 
   trace::resetGlobalCounters();
-  auto [on_ok, on_err] = readUnder(MmapMode::On, path);
-  ASSERT_TRUE(on_ok) << on_err;
+  auto [auto_ok, auto_err] = readUnder(MmapMode::Auto, path);
+  ASSERT_TRUE(auto_ok) << auto_err;
   EXPECT_EQ(trace::globalCounters().get(trace::Counter::PdbMmapBytesMapped),
             binary_.size());
 }
@@ -173,7 +171,7 @@ TEST_F(MmapReaderTest, TruncationCorpusIsRejectedIdenticallyInBothModes) {
        len += (len < 64 ? 1 : 37)) {
     const std::string path =
         writeBytes("trunc.pdb", binary_.substr(0, len));
-    const auto mapped = readUnder(MmapMode::On, path);
+    const auto mapped = readUnder(MmapMode::Auto, path);
     const auto buffered = readUnder(MmapMode::Off, path);
     EXPECT_FALSE(mapped.first) << "truncation to " << len << " accepted";
     EXPECT_EQ(mapped, buffered) << "modes disagree at truncation " << len;
@@ -186,7 +184,7 @@ TEST_F(MmapReaderTest, BitFlipCorpusIsRejectedIdenticallyInBothModes) {
       std::string mutated = binary_;
       mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
       const std::string path = writeBytes("flip.pdb", mutated);
-      const auto mapped = readUnder(MmapMode::On, path);
+      const auto mapped = readUnder(MmapMode::Auto, path);
       const auto buffered = readUnder(MmapMode::Off, path);
       EXPECT_EQ(mapped, buffered)
           << "modes disagree for bit " << bit << " at byte " << at;
@@ -220,7 +218,7 @@ TEST_F(MmapReaderTest, MaskedReadVerifiesExactlyTheRequestedSections) {
   mutated[ro_payload] = static_cast<char>(mutated[ro_payload] ^ 0x40);
   const std::string path = writeBytes("rot.pdb", mutated);
 
-  for (const MmapMode mode : {MmapMode::On, MmapMode::Off}) {
+  for (const MmapMode mode : {MmapMode::Auto, MmapMode::Off}) {
     // Full read: the whole-file checksum catches it.
     EXPECT_FALSE(readUnder(mode, path).first);
     // Masked read of untouched sections: the corrupt section's bytes are

@@ -1,9 +1,8 @@
 // Snapshot lifecycle tests: pdb::open publishes an immutable snapshot
-// with a process-unique generation, widen() re-opens lazily skipped
-// sections into the same generation without touching what is already
-// loaded (it re-reads from the snapshot's retained bytes, so it works
-// even after the file is gone), and failures keep the OpenResult
-// contract one-shot tools rely on for their error strings.
+// with a process-unique generation, releasePdb moves the records out of
+// a snapshot nobody else holds and copies them otherwise, and failures
+// keep the OpenResult contract one-shot tools rely on for their error
+// strings.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -80,8 +79,7 @@ TEST_F(SnapshotTest, OpenLoadsAllSectionsWithAUniqueGeneration) {
   const OpenResult b = open(path_);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.snapshot->loaded(), Sections::All);
-  EXPECT_EQ(a.snapshot->path(), path_);
+  EXPECT_EQ(a.snapshot->byteSize(), ascii_.size());
   // Generations are process-unique and monotone: re-opening the same
   // file is a new generation (that is what pdbd's hot-swap observes).
   EXPECT_LT(a.snapshot->generation(), b.snapshot->generation());
@@ -106,65 +104,31 @@ TEST_F(SnapshotTest, OpenFailureDistinguishesMissingFromMalformed) {
 TEST_F(SnapshotTest, MaskedOpenLoadsOnlyTheRequestedSections) {
   const OpenResult narrow = open(path_, Sections::SourceFiles);
   ASSERT_TRUE(narrow.ok());
-  EXPECT_EQ(narrow.snapshot->loaded(), Sections::SourceFiles);
   EXPECT_EQ(narrow.snapshot->pdb().sourceFiles().size(), 2u);
   EXPECT_TRUE(narrow.snapshot->pdb().routines().empty());
 }
 
-TEST_F(SnapshotTest, WidenAddsSectionsInsideTheSameGeneration) {
-  const OpenResult narrow = open(path_, Sections::SourceFiles);
-  ASSERT_TRUE(narrow.ok());
-  const OpenResult wide =
-      widen(narrow.snapshot, Sections::Routines | Sections::Classes);
-  ASSERT_TRUE(wide.ok());
-  // Same logical database acquisition: the generation is preserved, the
-  // mask is the union, and the original snapshot is untouched.
-  EXPECT_EQ(wide.snapshot->generation(), narrow.snapshot->generation());
-  EXPECT_EQ(wide.snapshot->loaded(),
-            Sections::SourceFiles | Sections::Routines | Sections::Classes);
-  EXPECT_EQ(narrow.snapshot->loaded(), Sections::SourceFiles);
-  EXPECT_EQ(wide.snapshot->pdb().routines().size(), 1u);
-  EXPECT_EQ(wide.snapshot->pdb().sourceFiles().size(), 2u);
+TEST_F(SnapshotTest, ReleaseFromTheSoleOwnerMovesTheRecords) {
+  OpenResult opened = open(path_);
+  ASSERT_TRUE(opened.ok());
+  const RoutineItem* routines = opened.snapshot->pdb().routines().data();
+  const SourceFileItem* files = opened.snapshot->pdb().sourceFiles().data();
+  const PdbFile pdb = releasePdb(std::move(opened.snapshot));
+  EXPECT_EQ(pdb.routines().data(), routines);
+  EXPECT_EQ(pdb.sourceFiles().data(), files);
+  EXPECT_EQ(writeToString(pdb), ascii_);
 }
 
-TEST_F(SnapshotTest, WidenIsANoOpWhenAlreadyCovered) {
-  const OpenResult narrow =
-      open(path_, Sections::SourceFiles | Sections::Routines);
-  ASSERT_TRUE(narrow.ok());
-  const OpenResult same = widen(narrow.snapshot, Sections::Routines);
-  ASSERT_TRUE(same.ok());
-  EXPECT_EQ(same.snapshot, narrow.snapshot);
-}
-
-TEST_F(SnapshotTest, WidenReadsFromRetainedBytesNotTheFile) {
-  const OpenResult narrow = open(path_, Sections::SourceFiles);
-  ASSERT_TRUE(narrow.ok());
-  // The file is gone; widening must succeed anyway, because the
-  // snapshot retains the raw bytes it was opened from.
-  fs::remove(path_);
-  const OpenResult wide = widen(narrow.snapshot, Sections::All);
-  ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(wide.snapshot->loaded(), Sections::All);
-  EXPECT_EQ(writeToString(wide.snapshot->pdb()), ascii_);
-  EXPECT_EQ(wide.snapshot->generation(), narrow.snapshot->generation());
-}
-
-TEST_F(SnapshotTest, WidenToAllMatchesADirectFullOpen) {
-  const OpenResult narrow =
-      open(path_, Sections::Classes | Sections::SourceFiles);
-  ASSERT_TRUE(narrow.ok());
-  const OpenResult widened = widen(narrow.snapshot, Sections::All);
-  const OpenResult full = open(path_);
-  ASSERT_TRUE(widened.ok());
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(writeToString(widened.snapshot->pdb()),
-            writeToString(full.snapshot->pdb()));
-}
-
-TEST_F(SnapshotTest, WidenRejectsANullSnapshot) {
-  const OpenResult result = widen(nullptr, Sections::All);
-  EXPECT_FALSE(result.ok());
-  ASSERT_FALSE(result.errors.empty());
+TEST_F(SnapshotTest, ReleaseFromASharedSnapshotCopiesAndLeavesItIntact) {
+  const OpenResult opened = open(path_);
+  ASSERT_TRUE(opened.ok());
+  const RoutineItem* routines = opened.snapshot->pdb().routines().data();
+  SnapshotPtr held = opened.snapshot;
+  const PdbFile pdb = releasePdb(std::move(held));
+  EXPECT_NE(pdb.routines().data(), routines);
+  EXPECT_EQ(opened.snapshot->pdb().routines().data(), routines);
+  EXPECT_EQ(writeToString(opened.snapshot->pdb()), ascii_);
+  EXPECT_EQ(writeToString(pdb), ascii_);
 }
 
 }  // namespace

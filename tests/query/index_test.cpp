@@ -9,9 +9,12 @@
 #include <string>
 
 #include "analysis/checker.h"
+#include "common/temp_dir.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
 #include "pdb/pdb.h"
+#include "pdb/snapshot.h"
+#include "pdb/writer.h"
 #include "query/index.h"
 #include "query/render.h"
 #include "tools/tools.h"
@@ -169,6 +172,57 @@ TEST(QueryIndex, PrewarmedIndexOwnsItsDatabase) {
   std::ostringstream os;
   renderTree(index, Tree::CallGraph, os);
   EXPECT_NE(os.str().find("driver"), std::string::npos);
+}
+
+/// kSample compiled and stored as a binary database under `dir`.
+std::string writeSample(const testutil::TempDir& dir) {
+  const std::string path = (dir / "sample.pdb").string();
+  EXPECT_TRUE(compileToPdb("sample.cpp", kSample)
+                  .write(path, pdb::Format::Binary));
+  return path;
+}
+
+std::string callTree(const Index& index) {
+  std::ostringstream os;
+  renderTree(index, Tree::CallGraph, os);
+  return os.str();
+}
+
+// pdbd's load path: the Index is the snapshot's only other holder, so the
+// records move into its graph instead of being copied.
+TEST(QueryIndex, SoleOwnedSnapshotMovesItsRecordsIntoTheGraph) {
+  const testutil::TempDir dir{"pdt_qindex_"};
+  pdb::OpenResult opened = pdb::open(writeSample(dir));
+  ASSERT_TRUE(opened.ok());
+  const auto* routines = opened.snapshot->pdb().routines().data();
+  const auto* classes = opened.snapshot->pdb().classes().data();
+  const Index index(std::move(opened.snapshot));
+  EXPECT_EQ(index.pdb().raw().routines().data(), routines);
+  EXPECT_EQ(index.pdb().raw().classes().data(), classes);
+  EXPECT_NE(callTree(index).find("driver"), std::string::npos);
+}
+
+// A caller that keeps the snapshot (the reference renderings over an
+// independently opened database) gets an Index over a copy; the
+// snapshot's own records are left exactly as they were.
+TEST(QueryIndex, HeldSnapshotKeepsItsRecords) {
+  const testutil::TempDir dir{"pdt_qindex_"};
+  const pdb::OpenResult opened = pdb::open(writeSample(dir));
+  ASSERT_TRUE(opened.ok());
+  const pdb::PdbFile& records = opened.snapshot->pdb();
+  const auto* routines = records.routines().data();
+  const std::size_t count = records.routines().size();
+  const std::string text = pdb::writeToString(records);
+  std::string rendered;
+  {
+    const Index index(opened.snapshot);
+    EXPECT_NE(index.pdb().raw().routines().data(), routines);
+    rendered = callTree(index);
+  }
+  EXPECT_EQ(records.routines().data(), routines);
+  EXPECT_EQ(records.routines().size(), count);
+  EXPECT_EQ(pdb::writeToString(records), text);
+  EXPECT_EQ(callTree(Index(opened.snapshot)), rendered);
 }
 
 }  // namespace

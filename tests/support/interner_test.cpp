@@ -33,10 +33,10 @@ TEST(Interner, DistinctStringsGetDistinctStorage) {
 
 TEST(Interner, CountGrowsOnlyForNewStrings) {
   const std::size_t before = internedStringCount();
-  internString("pdt-interner-test-count-probe");
+  (void)internString("pdt-interner-test-count-probe");
   const std::size_t after_first = internedStringCount();
   EXPECT_EQ(after_first, before + 1);
-  internString("pdt-interner-test-count-probe");
+  (void)internString("pdt-interner-test-count-probe");
   EXPECT_EQ(internedStringCount(), after_first);
 }
 

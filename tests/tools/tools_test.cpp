@@ -249,5 +249,26 @@ TEST(LocText, GeneratedAppearsInConvAndHtmlOutput) {
   EXPECT_NE(html.str().find("&lt;generated&gt;"), std::string::npos);
 }
 
+// Every template kind has a name in the renderings; an alias template
+// (tkind alias) must not fall through to a placeholder.
+TEST(TemplateKind, AliasTemplatesAreNamedInConvAndHtml) {
+  pdb::PdbFile raw;
+  pdb::TemplateItem alias;
+  alias.name = "Vec";
+  alias.kind = "alias";
+  raw.addTemplate(std::move(alias));
+
+  const ductape::PDB pdb = ductape::PDB::fromPdbFile(std::move(raw));
+  std::ostringstream conv;
+  pdbconv(pdb, conv);
+  EXPECT_NE(conv.str().find("Vec [alias template]"), std::string::npos)
+      << conv.str();
+
+  std::ostringstream html;
+  pdbhtml(pdb, html);
+  EXPECT_NE(html.str().find("<b>Vec</b> (alias template)"), std::string::npos)
+      << html.str();
+}
+
 }  // namespace
 }  // namespace pdt::tools
