@@ -5,6 +5,7 @@
 // how much of the input volume the merge collapsed.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -13,6 +14,7 @@
 
 #include "bench/workloads.h"
 #include "ductape/ductape.h"
+#include "ductape/merger.h"
 #include "frontend/frontend.h"
 #include "ilanalyzer/analyzer.h"
 #include "pdb/format.h"
@@ -66,6 +68,50 @@ BENCHMARK(BM_MergeUnits)
     ->Args({4, 10, 10})
     ->Args({4, 0, 20})
     ->Args({16, 10, 2});
+
+/// The Merger's fold over synthetic units, the shape of a cxxparse or
+/// pdbmerge run: the first unit adopted, every further one added by move
+/// right after it is made (copied from the corpus, untimed — add()
+/// consumes it). Reports ns_per_added_unit, which stays flat as the
+/// merged database grows: add() touches only the incoming unit's items,
+/// never the accumulated ones.
+void BM_MergerFold(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int units = static_cast<int>(state.range(0));
+  std::vector<pdt::pdb::PdbFile> corpus;
+  for (int u = 0; u < units; ++u) corpus.push_back(pdt::tools::synthUnit(u));
+
+  double add_ns = 0;
+  std::size_t merged_items = 0;
+  for (auto _ : state) {
+    pdt::pdb::PdbFile first = corpus.front();
+    Clock::time_point start = Clock::now();
+    pdt::ductape::Merger merger(std::move(first));
+    std::chrono::duration<double> took = Clock::now() - start;
+    const std::chrono::duration<double> adopt = took;
+    for (int u = 1; u < units; ++u) {
+      pdt::pdb::PdbFile unit = corpus[static_cast<std::size_t>(u)];
+      start = Clock::now();
+      merger.add(std::move(unit));
+      took += Clock::now() - start;
+    }
+    state.SetIterationTime(took.count());
+    add_ns += (took - adopt).count() * 1e9;
+    merged_items = merger.merged().itemCount();
+    benchmark::DoNotOptimize(merger);
+  }
+  state.counters["merged_items"] = static_cast<double>(merged_items);
+  state.counters["ns_per_added_unit"] =
+      add_ns / static_cast<double>(state.iterations()) / (units - 1);
+}
+// Units: 32 to 1000 — the "merge time per TU stays flat" sweep.
+BENCHMARK(BM_MergerFold)
+    ->Arg(32)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(1000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// A synthetic on-disk corpus of `units` binary databases (written once
 /// per size and reused across iterations and configurations).

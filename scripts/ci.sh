@@ -152,11 +152,12 @@ print(f"dataflow OK: format parity, clean corpus silent, seeded bugs found, "
 PY
 
 echo "== sharded merge =="
-# External merge at scale (docs/MERGE.md): generate a ~1k-TU synthetic
-# corpus with pdbgen, merge it in-memory and again under a memory budget
-# far smaller than the corpus (forcing shard spills), at two job counts.
-# Every output must be byte-identical, and the run-scoped spill
-# directory must be gone afterward.
+# Merge at scale (docs/MERGE.md): generate a ~1k-TU synthetic corpus
+# with pdbgen, merge it with no budget at -j JOBS (the reference) and at
+# -j 1 (the serial fold), and again under a memory budget far smaller
+# than the corpus (forcing shard spills) at both job counts. Every output
+# must be byte-identical, and the run-scoped spill directory must be
+# gone afterward.
 SHARD_DIR="${BUILD}/ci_shard_corpus"
 rm -rf "${SHARD_DIR}"
 mkdir -p "${SHARD_DIR}"
@@ -164,6 +165,9 @@ mkdir -p "${SHARD_DIR}"
 corpus_mb="$(du -sm "${SHARD_DIR}" | cut -f1)"
 "${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
     -o "${BUILD}/ci_shard_ref.pdb" -j "${JOBS}"
+"${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
+    -o "${BUILD}/ci_shard_serial.pdb" -j 1
+cmp "${BUILD}/ci_shard_ref.pdb" "${BUILD}/ci_shard_serial.pdb"
 for j in 1 "${JOBS}"; do
     "${BUILD}/src/tools/pdbmerge" "${SHARD_DIR}"/tu_*.pdb \
         -o "${BUILD}/ci_shard_j${j}.pdb" -j "${j}" --merge-mem-mb=8

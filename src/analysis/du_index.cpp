@@ -17,6 +17,7 @@ std::shared_ptr<const DefUseIndex> DefUseIndex::build(
   for (const pdb::DefUseItem& item : items) {
     Stream& s = index->streams_.emplace_back();
     s.item = &item;
+    s.routine = pdb.routineById(item.routine);
     s.cfg = builder.buildCfg(item);
     if (s.cfg.irregular()) {
       ++irregular;
@@ -47,14 +48,14 @@ std::string DefUseIndex::posText(const pdb::Pos& pos) const {
   return out;
 }
 
-std::string DefUseIndex::routineName(std::uint32_t id) const {
-  const ductape::pdbRoutine* r = routine(id);
+std::string DefUseIndex::routineName(const Stream& stream) const {
+  const ductape::pdbRoutine* r = stream.routine;
   return r == nullptr ? std::string("<unknown routine>") : r->fullName();
 }
 
-bool DefUseIndex::routineMatches(std::uint32_t id,
+bool DefUseIndex::routineMatches(const Stream& stream,
                                  const std::string& name) const {
-  const ductape::pdbRoutine* r = routine(id);
+  const ductape::pdbRoutine* r = stream.routine;
   if (r == nullptr) return false;
   // fullName() is the qualifier, "::" and name(), so only a `name` ending
   // in name() can equal it; testing that first skips building a

@@ -12,7 +12,8 @@
 // and tearing down an index costs a fixed number of allocations plus
 // amortized vector growth, whatever the stream count. Files and routines
 // resolve through the database's own id index, so the index builds no
-// lookup tables of its own.
+// lookup tables of its own; each stream's routine is resolved once, at
+// build.
 //
 // Immutable after build(); safe to share across the checker's rule
 // worker threads and pdbd's concurrent client connections.
@@ -36,6 +37,8 @@ class DefUseIndex {
   /// skip those streams.
   struct Stream {
     const pdb::DefUseItem* item = nullptr;
+    /// The owning routine, resolved once at build; null when unresolvable.
+    const ductape::pdbRoutine* routine = nullptr;
     dataflow::Cfg cfg;
     std::optional<dataflow::ReachingDefs> rd;
   };
@@ -70,11 +73,12 @@ class DefUseIndex {
   /// pdbduct's rendering form.
   [[nodiscard]] std::string posText(const pdb::Pos& pos) const;
 
-  /// Qualified routine name, "<unknown routine>" when unresolvable.
-  [[nodiscard]] std::string routineName(std::uint32_t id) const;
+  /// The stream's qualified routine name, "<unknown routine>" when
+  /// unresolvable.
+  [[nodiscard]] std::string routineName(const Stream& stream) const;
 
-  /// True when the routine's plain or qualified name equals `name`.
-  [[nodiscard]] bool routineMatches(std::uint32_t id,
+  /// True when the stream routine's plain or qualified name equals `name`.
+  [[nodiscard]] bool routineMatches(const Stream& stream,
                                     const std::string& name) const;
 
  private:

@@ -548,7 +548,7 @@ class UninitializedReadRule final : public DuRuleBase {
                     "local '" + std::string(ev.name) +
                         "' is read here but no path from its declaration "
                         "assigns it a value first",
-                    world.routineName(item.routine), world.loc(ev.pos));
+                    world.routineName(stream), world.loc(ev.pos));
       }
     }
   }
@@ -581,7 +581,7 @@ class DeadStoreRule final : public DuRuleBase {
           sink.report(std::string(name()), Severity::Warning,
                       "value assigned to local '" + std::string(ev.name) +
                           "' is never read",
-                      world.routineName(item.routine), world.loc(ev.pos));
+                      world.routineName(stream), world.loc(ev.pos));
         }
       }
     }
@@ -653,7 +653,7 @@ class NullDerefRule final : public DuRuleBase {
                     "pointer '" + std::string(v.name) +
                         "' can only hold the null value here and is "
                         "dereferenced",
-                    world.routineName(item.routine),
+                    world.routineName(stream),
                     world.loc(v.first_deref->pos));
       }
     }

@@ -1,16 +1,13 @@
 #include "ductape/ductape.h"
 
-#include <algorithm>
-#include <fstream>
-#include <map>
 #include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "ductape/merger.h"
 #include "pdb/reader.h"
 #include "pdb/snapshot.h"
 #include "pdb/writer.h"
-#include "support/trace.h"
 
 namespace pdt::ductape {
 
@@ -443,439 +440,21 @@ PDB::classvec PDB::getClassHierarchyRoots() const {
 }
 
 // ---------------------------------------------------------------------------
-// Merge (pdbmerge): combine databases, eliminate duplicate instantiations
+// Merge (pdbmerge): a Merger over this database and a copy of `other`
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Identity keys used to detect duplicates across compilations.
-std::string fileKey(const pdb::SourceFileItem& f) { return std::string(f.name); }
-
-std::string posKey(const pdb::PdbFile& owner, const pdb::Pos& pos) {
-  if (!pos.valid()) return "@";
-  const auto* f = owner.findSourceFile(pos.file);
-  return std::string(f != nullptr ? f->name : "?") + ":" +
-         std::to_string(pos.line) + ":" + std::to_string(pos.column);
-}
-
-/// Joins key parts with '|' in one allocation (parts may be string_views).
-template <typename... Parts>
-std::string joinKey(const Parts&... parts) {
-  std::string key;
-  key.reserve((std::string_view(parts).size() + ...) + sizeof...(parts));
-  bool first = true;
-  const auto append = [&](std::string_view part) {
-    if (!first) key.push_back('|');
-    first = false;
-    key.append(part);
-  };
-  (append(parts), ...);
-  return key;
-}
-
-std::string typeKey(const pdb::TypeItem& t) { return joinKey(t.kind, t.name); }
-
-std::string templateKey(const pdb::PdbFile& owner, const pdb::TemplateItem& t) {
-  return joinKey(t.kind, t.name, posKey(owner, t.location));
-}
-
-std::string classKey(const pdb::ClassItem& c) { return std::string(c.name); }
-
-std::string routineKey(const pdb::PdbFile& owner, const pdb::RoutineItem& r) {
-  const auto* sig = owner.findType(r.signature);
-  std::string parent;
-  if (r.parent && r.parent->kind == pdb::ItemKind::Class) {
-    const auto* cls = owner.findClass(r.parent->id);
-    if (cls != nullptr) parent = cls->name;
-  } else if (r.parent) {
-    const auto* ns = owner.findNamespace(r.parent->id);
-    if (ns != nullptr) parent = ns->name;
-  }
-  return parent + "::" + std::string(r.name) + "|" +
-         std::string(sig != nullptr ? sig->name : "?");
-}
-
-std::string namespaceKey(const pdb::NamespaceItem& n) { return std::string(n.name); }
-
-std::string macroKey(const pdb::MacroItem& m) {
-  return joinKey(m.kind, m.name, m.text);
-}
-
-}  // namespace
-
 void PDB::merge(const PDB& other) {
-  PDT_TRACE_SCOPE("ductape.merge");
-  trace::count(trace::Counter::MergeMerges);
-  const pdb::PdbFile& theirs = other.raw_;
-  const std::size_t items_before = raw_.itemCount();
-  // Items copied from `theirs` carry string views into its backings; the
-  // merged database must keep that storage alive.
-  raw_.adoptBackingsOf(theirs);
-
-  // Old-id -> merged-id maps, per kind.
-  std::unordered_map<std::uint32_t, std::uint32_t> file_map, type_map,
-      template_map, class_map, routine_map, namespace_map;
-  // Which merged items are newly appended (and need reference fixups).
-  std::vector<std::uint32_t> new_types, new_templates, new_classes, new_routines,
-      new_namespaces;
-
-  // Existing keys.
-  std::unordered_map<std::string, std::uint32_t> my_files, my_types, my_templates,
-      my_classes, my_routines, my_namespaces;
-  std::unordered_set<std::string> my_macros;
-  for (const auto& f : raw_.sourceFiles()) my_files.emplace(fileKey(f), f.id);
-  for (const auto& t : raw_.types()) my_types.emplace(typeKey(t), t.id);
-  for (const auto& t : raw_.templates())
-    my_templates.emplace(templateKey(raw_, t), t.id);
-  for (const auto& c : raw_.classes()) my_classes.emplace(classKey(c), c.id);
-  for (const auto& r : raw_.routines())
-    my_routines.emplace(routineKey(raw_, r), r.id);
-  for (const auto& n : raw_.namespaces())
-    my_namespaces.emplace(namespaceKey(n), n.id);
-  for (const auto& m : raw_.macros()) my_macros.insert(macroKey(m));
-
-  // Files.
-  for (const auto& f : theirs.sourceFiles()) {
-    if (const auto it = my_files.find(fileKey(f)); it != my_files.end()) {
-      file_map[f.id] = it->second;
-      continue;
-    }
-    pdb::SourceFileItem copy = f;
-    copy.id = 0;
-    // The include list still holds ids from `theirs`; drop it so the fixup
-    // pass below rebuilds it from remapped ids. Keeping it would union
-    // remapped ids onto stale ones whenever the id spaces differ (as they
-    // do for the intermediates of the tree-reduction pdbmerge).
-    copy.includes.clear();
-    const std::uint32_t id = raw_.addSourceFile(std::move(copy));
-    file_map[f.id] = id;
-    my_files.emplace(fileKey(f), id);
-  }
-  // Fix include lists of newly added files and union those of duplicates.
-  // Indexed by id up front — scanning raw_.sourceFiles() per input file made
-  // this quadratic in the number of files.
-  std::unordered_map<std::uint32_t, std::size_t> mine_file_at;
-  mine_file_at.reserve(raw_.sourceFiles().size());
-  for (std::size_t i = 0; i < raw_.sourceFiles().size(); ++i)
-    mine_file_at.emplace(raw_.sourceFiles()[i].id, i);
-  for (const auto& f : theirs.sourceFiles()) {
-    auto& mine = raw_.sourceFiles()[mine_file_at.at(file_map.at(f.id))];
-    std::vector<std::uint32_t> remapped;
-    for (const std::uint32_t inc : f.includes) {
-      if (const auto it = file_map.find(inc); it != file_map.end())
-        remapped.push_back(it->second);
-    }
-    if (mine.includes.empty()) {
-      mine.includes = std::move(remapped);
-    } else {
-      for (const std::uint32_t inc : remapped) {
-        if (std::find(mine.includes.begin(), mine.includes.end(), inc) ==
-            mine.includes.end())
-          mine.includes.push_back(inc);
-      }
-    }
-  }
-
-  const auto remapPos = [&](pdb::Pos& pos) {
-    if (const auto it = file_map.find(pos.file); it != file_map.end())
-      pos.file = it->second;
-    else
-      pos = {};
-  };
-  const auto remapExtent = [&](pdb::Extent& e) {
-    remapPos(e.header_begin);
-    remapPos(e.header_end);
-    remapPos(e.body_begin);
-    remapPos(e.body_end);
-  };
-
-  // Types (refs fixed after all type ids are known).
-  for (const auto& t : theirs.types()) {
-    if (const auto it = my_types.find(typeKey(t)); it != my_types.end()) {
-      type_map[t.id] = it->second;
-      continue;
-    }
-    pdb::TypeItem copy = t;
-    copy.id = 0;
-    const std::uint32_t id = raw_.addType(std::move(copy));
-    type_map[t.id] = id;
-    new_types.push_back(id);
-    my_types.emplace(typeKey(t), id);
-  }
-
-  // Templates: duplicates (same kind/name/location) are eliminated —
-  // the paper's headline pdbmerge behaviour.
-  for (const auto& t : theirs.templates()) {
-    if (const auto it = my_templates.find(templateKey(theirs, t));
-        it != my_templates.end()) {
-      template_map[t.id] = it->second;
-      continue;
-    }
-    pdb::TemplateItem copy = t;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    const std::uint32_t id = raw_.addTemplate(std::move(copy));
-    template_map[t.id] = id;
-    new_templates.push_back(id);
-    my_templates.emplace(templateKey(theirs, t), id);
-  }
-
-  // Classes: duplicate instantiations ("Stack<int>" from two translation
-  // units) collapse to one item.
-  for (const auto& c : theirs.classes()) {
-    if (const auto it = my_classes.find(classKey(c)); it != my_classes.end()) {
-      class_map[c.id] = it->second;
-      continue;
-    }
-    pdb::ClassItem copy = c;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    const std::uint32_t id = raw_.addClass(std::move(copy));
-    class_map[c.id] = id;
-    new_classes.push_back(id);
-    my_classes.emplace(classKey(c), id);
-  }
-
-  // Routines. When the duplicate pair is a declaration (one TU sees only a
-  // prototype) and a definition (another TU holds the body), the merged
-  // routine must carry the definition — its location, extent, and call
-  // edges — or the whole-program call graph loses every cross-TU edge out
-  // of that routine. Collected here, applied after the id maps close.
-  std::vector<std::pair<std::uint32_t, const pdb::RoutineItem*>> dup_routines;
-  for (const auto& r : theirs.routines()) {
-    if (const auto it = my_routines.find(routineKey(theirs, r));
-        it != my_routines.end()) {
-      routine_map[r.id] = it->second;
-      dup_routines.emplace_back(it->second, &r);
-      continue;
-    }
-    pdb::RoutineItem copy = r;
-    copy.id = 0;
-    remapPos(copy.location);
-    remapExtent(copy.extent);
-    for (auto& call : copy.calls) remapPos(call.position);
-    const std::uint32_t id = raw_.addRoutine(std::move(copy));
-    routine_map[r.id] = id;
-    new_routines.push_back(id);
-    my_routines.emplace(routineKey(theirs, r), id);
-  }
-
-  // Namespaces. Duplicates union their member lists (members are
-  // remapped and appended after the id maps are complete, below).
-  std::vector<std::pair<std::uint32_t, std::vector<pdb::ItemRef>>>
-      namespace_member_appends;
-  for (const auto& n : theirs.namespaces()) {
-    if (const auto it = my_namespaces.find(namespaceKey(n));
-        it != my_namespaces.end()) {
-      namespace_map[n.id] = it->second;
-      namespace_member_appends.emplace_back(it->second, n.members);
-      continue;
-    }
-    pdb::NamespaceItem copy = n;
-    copy.id = 0;
-    remapPos(copy.location);
-    const std::uint32_t id = raw_.addNamespace(std::move(copy));
-    namespace_map[n.id] = id;
-    new_namespaces.push_back(id);
-    my_namespaces.emplace(namespaceKey(n), id);
-  }
-
-  // Macros: exact duplicates dropped.
-  for (const auto& m : theirs.macros()) {
-    if (my_macros.contains(macroKey(m))) continue;
-    pdb::MacroItem copy = m;
-    copy.id = 0;
-    remapPos(copy.location);
-    raw_.addMacro(std::move(copy));
-    my_macros.insert(macroKey(m));
-  }
-
-  // Dynamic profiles: one per distinct TAU profile entry, keyed by display
-  // name. Merging two measured databases sums their counts and times —
-  // profiles of the same workload from different processes/runs aggregate
-  // instead of duplicating (mirrors tauprof's own cross-file merge).
-  {
-    std::unordered_map<std::string_view, std::size_t> my_dp_at;
-    my_dp_at.reserve(raw_.dynProfs().size());
-    for (std::size_t i = 0; i < raw_.dynProfs().size(); ++i)
-      my_dp_at.emplace(raw_.dynProfs()[i].name, i);
-    for (const auto& p : theirs.dynProfs()) {
-      const auto remapped_routine = [&] {
-        const auto it = routine_map.find(p.routine);
-        return it != routine_map.end() ? it->second : 0u;
-      };
-      if (const auto it = my_dp_at.find(p.name); it != my_dp_at.end()) {
-        auto& mine = raw_.dynProfs()[it->second];
-        mine.calls += p.calls;
-        mine.child_calls += p.child_calls;
-        mine.inclusive_ns += p.inclusive_ns;
-        mine.exclusive_ns += p.exclusive_ns;
-        mine.threads += p.threads;
-        mine.contexts += p.contexts;
-        if (mine.routine == 0 && p.routine != 0)
-          mine.routine = remapped_routine();
-        continue;
-      }
-      pdb::DynProfItem copy = p;
-      copy.id = 0;
-      if (copy.routine != 0) copy.routine = remapped_routine();
-      raw_.addDynProf(std::move(copy));
-    }
-  }
-
-  // Def-use streams: one per defined routine, keyed by the merged routine
-  // id. When both sides carry a stream for the same routine (the routine
-  // itself was a duplicate) the first one wins — mirroring the
-  // declaration/definition rule above, where only the defining TU emits a
-  // stream at all.
-  {
-    std::unordered_set<std::uint32_t> my_du_routines;
-    my_du_routines.reserve(raw_.defUses().size());
-    for (const auto& d : raw_.defUses()) my_du_routines.insert(d.routine);
-    for (const auto& d : theirs.defUses()) {
-      pdb::DefUseItem copy = d;
-      copy.id = 0;
-      if (const auto it = routine_map.find(copy.routine);
-          it != routine_map.end())
-        copy.routine = it->second;
-      if (!my_du_routines.insert(copy.routine).second) continue;
-      for (auto& e : copy.events) remapPos(e.pos);
-      raw_.addDefUse(std::move(copy));
-    }
-  }
-
-  // Reference fixups on newly appended items.
-  const auto remapRef = [&](pdb::ItemRef& ref) {
-    const std::unordered_map<std::uint32_t, std::uint32_t>* map = nullptr;
-    switch (ref.kind) {
-      case pdb::ItemKind::SourceFile: map = &file_map; break;
-      case pdb::ItemKind::Type: map = &type_map; break;
-      case pdb::ItemKind::Template: map = &template_map; break;
-      case pdb::ItemKind::Class: map = &class_map; break;
-      case pdb::ItemKind::Routine: map = &routine_map; break;
-      case pdb::ItemKind::Namespace: map = &namespace_map; break;
-      default: return;
-    }
-    if (const auto it = map->find(ref.id); it != map->end()) ref.id = it->second;
-  };
-  const auto remapOptRef = [&](std::optional<pdb::ItemRef>& ref) {
-    if (ref) remapRef(*ref);
-  };
-
-  raw_.reindex();
-  std::unordered_set<std::uint32_t> new_type_set(new_types.begin(), new_types.end());
-  for (auto& t : raw_.types()) {
-    if (!new_type_set.contains(t.id)) continue;
-    remapOptRef(t.ref);
-    remapOptRef(t.return_type);
-    for (auto& p : t.params) remapRef(p);
-    for (auto& e : t.exception_specs) remapRef(e);
-  }
-  std::unordered_set<std::uint32_t> new_class_set(new_classes.begin(),
-                                                  new_classes.end());
-  for (auto& c : raw_.classes()) {
-    if (!new_class_set.contains(c.id)) continue;
-    remapOptRef(c.parent);
-    if (c.template_id) {
-      if (const auto it = template_map.find(*c.template_id);
-          it != template_map.end())
-        c.template_id = it->second;
-    }
-    for (auto& b : c.bases) {
-      if (const auto it = class_map.find(b.cls); it != class_map.end())
-        b.cls = it->second;
-    }
-    for (auto& f : c.friends) remapOptRef(f.ref);
-    for (auto& mf : c.funcs) {
-      if (const auto it = routine_map.find(mf.routine); it != routine_map.end())
-        mf.routine = it->second;
-      remapPos(mf.location);
-    }
-    for (auto& m : c.members) {
-      remapRef(m.type);
-      remapPos(m.location);
-    }
-  }
-  std::unordered_set<std::uint32_t> new_routine_set(new_routines.begin(),
-                                                    new_routines.end());
-  for (auto& r : raw_.routines()) {
-    if (!new_routine_set.contains(r.id)) continue;
-    remapOptRef(r.parent);
-    if (const auto it = type_map.find(r.signature); it != type_map.end())
-      r.signature = it->second;
-    if (r.template_id) {
-      if (const auto it = template_map.find(*r.template_id);
-          it != template_map.end())
-        r.template_id = it->second;
-    }
-    for (auto& call : r.calls) {
-      if (const auto it = routine_map.find(call.routine); it != routine_map.end())
-        call.routine = it->second;
-    }
-  }
-  std::unordered_set<std::uint32_t> new_template_set(new_templates.begin(),
-                                                     new_templates.end());
-  for (auto& t : raw_.templates()) {
-    if (!new_template_set.contains(t.id)) continue;
-    remapOptRef(t.parent);
-  }
-  std::unordered_set<std::uint32_t> new_namespace_set(new_namespaces.begin(),
-                                                      new_namespaces.end());
-  for (auto& n : raw_.namespaces()) {
-    if (!new_namespace_set.contains(n.id)) continue;
-    for (auto& m : n.members) remapRef(m);
-  }
-  // Declaration + definition pairs: adopt the definition side.
-  if (!dup_routines.empty()) {
-    std::unordered_map<std::uint32_t, std::size_t> mine_routine_at;
-    mine_routine_at.reserve(raw_.routines().size());
-    for (std::size_t i = 0; i < raw_.routines().size(); ++i)
-      mine_routine_at.emplace(raw_.routines()[i].id, i);
-    for (const auto& [my_id, their_r] : dup_routines) {
-      auto& mine = raw_.routines()[mine_routine_at.at(my_id)];
-      if (mine.defined || !their_r->defined) continue;
-      mine.defined = true;
-      mine.location = their_r->location;
-      remapPos(mine.location);
-      mine.extent = their_r->extent;
-      remapExtent(mine.extent);
-      mine.calls = their_r->calls;
-      for (auto& call : mine.calls) {
-        if (const auto it = routine_map.find(call.routine);
-            it != routine_map.end())
-          call.routine = it->second;
-        remapPos(call.position);
-      }
-    }
-  }
-  // Union member lists of namespaces that merged with existing ones.
-  if (!namespace_member_appends.empty()) {
-    std::unordered_map<std::uint32_t, std::size_t> mine_ns_at;
-    mine_ns_at.reserve(raw_.namespaces().size());
-    for (std::size_t i = 0; i < raw_.namespaces().size(); ++i)
-      mine_ns_at.emplace(raw_.namespaces()[i].id, i);
-    for (auto& [ns_id, members] : namespace_member_appends) {
-      auto& n = raw_.namespaces()[mine_ns_at.at(ns_id)];
-      for (pdb::ItemRef m : members) {
-        remapRef(m);
-        if (std::find(n.members.begin(), n.members.end(), m) == n.members.end())
-          n.members.push_back(m);
-      }
-    }
-  }
-
-  raw_.reindex();
-  // Whatever `theirs` carried that did not grow the merged database was a
-  // duplicate folded into an existing item.
-  const std::size_t grew = raw_.itemCount() - items_before;
-  trace::count(trace::Counter::MergeDuplicatesElided,
-               theirs.itemCount() >= grew ? theirs.itemCount() - grew : 0);
-  // Merged items come from two files; their record offsets no longer mean
-  // anything, so validation reports plain ids again.
-  raw_.setOffsetUnit(pdb::OffsetUnit::None);
+  pdb::PdbFile theirs = other.raw_;  // copied first: `other` may be *this
+  Merger merger(std::move(raw_));
+  merger.add(std::move(theirs));
+  raw_ = std::move(merger).release();
   graph_dirty_ = true;  // object graph rebuilt lazily at the next accessor
+}
+
+pdb::PdbFile PDB::release() && {
+  pdb::PdbFile out = std::move(raw_);
+  *this = PDB{};
+  return out;
 }
 
 }  // namespace pdt::ductape

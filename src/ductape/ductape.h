@@ -475,15 +475,20 @@ class PDB {
   bool write(const std::string& path, pdb::Format format) const;
 
   /// Merges `other` into this database, renumbering ids and eliminating
-  /// duplicate template instantiations (paper Table 2, pdbmerge).
+  /// duplicate template instantiations (paper Table 2, pdbmerge): a
+  /// Merger over this database, adding a copy of `other`. Folding many
+  /// databases is linear through one Merger (merger.h); this call re-keys
+  /// this database every time.
   ///
-  /// The object graph is rebuilt lazily: a chain of merges (cxxparse over
-  /// many TUs, pdbmerge's reduction tree) pays for one graph construction
-  /// at the first accessor call instead of one per merge. Pointers obtained
-  /// from the accessor vectors before a merge are invalidated by it, as
-  /// before. A PDB object is not internally synchronized — confine each
-  /// instance to one thread at a time (the parallel pipeline does).
+  /// The object graph is rebuilt lazily at the next accessor call.
+  /// Pointers obtained from the accessor vectors before a merge are
+  /// invalidated by it. A PDB object is not internally synchronized —
+  /// confine each instance to one thread at a time.
   void merge(const PDB& other);
+
+  /// Gives up the records by move, leaving this PDB empty — how a
+  /// consumed input is handed to a Merger.
+  [[nodiscard]] pdb::PdbFile release() &&;
 
   [[nodiscard]] bool valid() const { return error_.empty(); }
   [[nodiscard]] const std::string& errorMessage() const { return error_; }

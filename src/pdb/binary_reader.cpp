@@ -99,7 +99,6 @@ class BinaryReader {
       }
       decodeSection(kind, entry);
     }
-    result_.pdb.reindex();
     result_.pdb.setOffsetUnit(OffsetUnit::Byte);
     result_.loaded = sections_;
     return std::move(result_);

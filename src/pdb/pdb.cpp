@@ -149,6 +149,21 @@ std::size_t PdbFile::itemCount() const {
          def_uses_.size() + dyn_profs_.size();
 }
 
+std::uint32_t PdbFile::nextId(ItemKind kind) const {
+  switch (kind) {
+    case ItemKind::SourceFile: return next_file_id_;
+    case ItemKind::Routine: return next_routine_id_;
+    case ItemKind::Class: return next_class_id_;
+    case ItemKind::Type: return next_type_id_;
+    case ItemKind::Template: return next_template_id_;
+    case ItemKind::Namespace: return next_namespace_id_;
+    case ItemKind::Macro: return next_macro_id_;
+    case ItemKind::DefUse: return next_def_use_id_;
+    case ItemKind::DynProf: return next_dyn_prof_id_;
+  }
+  return 0;
+}
+
 void PdbFile::reindex() {
   const auto rebuild = [](const auto& vec, auto& index, std::uint32_t& next) {
     index.clear();

@@ -334,8 +334,8 @@ class PdbFile {
   }
 
   /// Adopts every backing (and the arena) of `other` — required when items
-  /// are copied across databases (merge) and their views must outlive the
-  /// source.
+  /// move or are copied across databases (merge) and their views must
+  /// outlive the source.
   void adoptBackingsOf(const PdbFile& other) {
     backings_.insert(backings_.end(), other.backings_.begin(),
                      other.backings_.end());
@@ -397,6 +397,8 @@ class PdbFile {
   [[nodiscard]] const DynProfItem* findDynProf(std::uint32_t id) const;
 
   [[nodiscard]] std::size_t itemCount() const;
+  /// The id the next add() of an id-0 item of `kind` assigns.
+  [[nodiscard]] std::uint32_t nextId(ItemKind kind) const;
 
   /// What the items' `src_offset` fields count. Readers set this;
   /// databases built or merged in memory leave it at None (their offsets

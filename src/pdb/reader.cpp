@@ -124,7 +124,6 @@ class Reader {
       }
     }
     flush();
-    result_.pdb.reindex();
     result_.pdb.setOffsetUnit(OffsetUnit::Line);
     result_.loaded = sections_;
     return std::move(result_);

@@ -201,7 +201,7 @@ void renderDefUse(const Index& index, const DefUseQuery& query,
   for (const analysis::DefUseIndex::Stream& stream : world.streams()) {
     const DefUseItem& item = *stream.item;
     if (!query.routine.empty() &&
-        !world.routineMatches(item.routine, query.routine))
+        !world.routineMatches(stream, query.routine))
       continue;
 
     if (!query.defs && !query.uses) {
@@ -212,13 +212,13 @@ void renderDefUse(const Index& index, const DefUseQuery& query,
         else ++markers;
       }
       os << "du#" << item.id << " routine '"
-         << world.routineName(item.routine) << "': " << defs << " def(s), "
+         << world.routineName(stream) << "': " << defs << " def(s), "
          << uses << " use(s), " << markers << " marker(s)\n";
       continue;
     }
 
     if (!stream.rd) {
-      os << "routine '" << world.routineName(item.routine)
+      os << "routine '" << world.routineName(stream)
          << "': irregular control flow (goto/label/try); no "
             "flow-sensitive answer\n";
       continue;
@@ -228,7 +228,7 @@ void renderDefUse(const Index& index, const DefUseQuery& query,
     const auto header = [&] {
       if (header_printed) return;
       header_printed = true;
-      os << "routine '" << world.routineName(item.routine) << "' (du#"
+      os << "routine '" << world.routineName(stream) << "' (du#"
          << item.id << "):\n";
     };
     for (std::size_t e = 0; e < item.events.size(); ++e) {

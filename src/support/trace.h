@@ -57,7 +57,7 @@ enum class Counter : std::size_t {
   PdbItemsWritten,       // pdb.items_written
   PdbSectionsSkipped,    // pdb.sections_skipped — sections a lazy read left unloaded
   PdbMmapBytesMapped,    // pdb.mmap.bytes_mapped — bytes served via mmap
-  MergeMerges,           // merge.merges — pairwise PDB::merge calls
+  MergeMerges,           // merge.merges — units added to a Merger
   MergeDuplicatesElided, // merge.duplicates_elided — items deduplicated away
   MergeShards,           // merge.shards — shard workers of a sharded merge
   MergeSpills,           // merge.spills — partial merges spilled to disk

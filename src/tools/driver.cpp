@@ -3,6 +3,7 @@
 #include <future>
 #include <sstream>
 
+#include "ductape/merger.h"
 #include "pdb/pdb.h"
 #include "support/thread_pool.h"
 #include "support/trace.h"
@@ -117,19 +118,20 @@ DriverResult compileAndMerge(const std::vector<std::string>& inputs,
 
   // Emit diagnostics and merge in input order; both match the serial run
   // byte for byte (the merge is order-dependent, the compiles are not).
-  std::optional<ductape::PDB> merged;
+  std::optional<ductape::Merger> merged;
   for (UnitResult& unit : units) {
     out.diagnostics += unit.diagnostics;
     out.cache_stats += unit.cache_stats;
     out.counters += unit.counters;
     if (!unit.success) return out;
     if (!merged) {
-      merged = ductape::PDB::fromPdbFile(std::move(unit.pdb));
+      merged.emplace(std::move(unit.pdb));
     } else {
-      merged->merge(ductape::PDB::fromPdbFile(std::move(unit.pdb)));
+      merged->add(std::move(unit.pdb));
     }
   }
-  out.pdb = std::move(merged);
+  if (merged)
+    out.pdb = ductape::PDB::fromPdbFile(std::move(*merged).release());
   out.success = out.pdb.has_value();
   return out;
 }

@@ -162,8 +162,7 @@ int main(int argc, char** argv) {
     inputs.push_back(std::move(pdb));
   }
 
-  const pdt::ductape::PDB merged =
-      pdt::tools::pdbmerge(std::move(inputs), options.jobs);
+  const pdt::ductape::PDB merged = pdt::tools::pdbmerge(std::move(inputs));
   const pdt::analysis::CheckResult result =
       pdt::analysis::runChecks(merged, options);
   if (!result.ok()) {

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     }
     inputs.push_back(std::move(pdb));
   }
-  const pdt::ductape::PDB merged = pdt::tools::pdbmerge(std::move(inputs), 1);
+  const pdt::ductape::PDB merged = pdt::tools::pdbmerge(std::move(inputs));
 
   const pdt::query::Index index(merged);
   pdt::query::renderDefUse(index, query, std::cout);

@@ -2,21 +2,20 @@
 // file, eliminating duplicate template instantiations in the process
 // (paper Table 2).
 //
-// -j N reads the input files and runs the pairwise merge reduction on N
-// worker threads; the result is byte-identical to the serial merge.
+// Every run goes through tools::shardedMergeFiles: -j N folds N
+// contiguous shards of the inputs concurrently, reading one input at a
+// time, and then folds the shard results in order; --merge-mem-mb bounds
+// the partials kept in memory. The output is byte-identical at any -j and
+// any budget.
 #include <charconv>
 #include <cstdint>
-#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "pdb/format.h"
-#include "pdb/validate.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "tools/shard_merge.h"
-#include "tools/tools.h"
 
 namespace {
 
@@ -24,14 +23,14 @@ constexpr const char* kUsage =
     "usage: pdbmerge <in1.pdb> <in2.pdb>... -o <out.pdb> [-j N]\n"
     "                [--format=ascii|bin] [--merge-mem-mb=N] [--mmap=MODE]\n"
     "                [--stats[=json]] [--stats-out FILE] [--trace-out FILE]\n"
-    "  -j N, --jobs N    read and merge on N worker threads (N >= 1)\n"
+    "  -j N, --jobs N    read and fold N contiguous shards of the inputs\n"
+    "                    on N worker threads (N >= 1)\n"
     "  --format=FORMAT   storage format of the output (default ascii);\n"
     "                    input formats are auto-detected\n"
-    "  --merge-mem-mb=N  soft memory budget: merge in external shards,\n"
-    "                    spilling partial merges to temp files when a\n"
-    "                    worker's partial exceeds its slice of N MiB\n"
-    "                    (0 or absent = classic in-memory merge; the\n"
-    "                    output bytes are identical either way)\n"
+    "  --merge-mem-mb=N  soft memory budget: spill a worker's partial\n"
+    "                    merge to a temp file when it exceeds its slice\n"
+    "                    of N MiB (0 or absent = never spill; the output\n"
+    "                    bytes are identical either way)\n"
     "  --mmap=MODE       binary input mapping: auto (default), off\n"
     "  --stats[=json]    merge counter + phase timing report on stderr\n"
     "  --stats-out FILE  write the stats report to FILE\n"
@@ -121,73 +120,18 @@ int main(int argc, char** argv) {
   }
   obs.begin();
 
-  // External sharded merge: never holds every input at once, spills
-  // partials past the budget, and produces the same bytes as the
-  // in-memory path below.
-  if (merge_mem_mb > 0) {
-    pdt::tools::ShardedMergeOptions sopts;
-    sopts.jobs = jobs;
-    sopts.mem_budget_bytes = merge_mem_mb * 1024ull * 1024ull;
-    sopts.temp_dir = output + ".merge-tmp";
-    pdt::tools::ShardedMergeResult sharded =
-        pdt::tools::shardedMergeFiles(paths, sopts);
-    if (!sharded.ok()) {
-      for (const std::string& e : sharded.errors)
-        std::cerr << "pdbmerge: " << e << '\n';
-      return 1;
-    }
-    if (!sharded.merged->write(output, format)) {
-      std::cerr << "pdbmerge: cannot write '" << output << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << output << '\n';
-    if (obs.wanted()) {
-      pdt::trace::StatsReport report("pdbmerge");
-      report.setCounters(pdt::trace::globalCounters());
-      report.addSection("sharded merge",
-                        {{"shards", sharded.stats.shards},
-                         {"spills", sharded.stats.spills}});
-      if (!obs.finish(report)) return 1;
-    }
-    return 0;
+  pdt::tools::ShardedMergeOptions sopts;
+  sopts.jobs = jobs;
+  sopts.mem_budget_bytes = merge_mem_mb * 1024ull * 1024ull;
+  sopts.temp_dir = output + ".merge-tmp";
+  pdt::tools::ShardedMergeResult sharded =
+      pdt::tools::shardedMergeFiles(paths, sopts);
+  if (!sharded.ok()) {
+    for (const std::string& e : sharded.errors)
+      std::cerr << "pdbmerge: " << e << '\n';
+    return 1;
   }
-
-  // Read every input (in parallel with -j); report errors in input order.
-  std::vector<pdt::ductape::PDB> inputs;
-  if (jobs > 1 && paths.size() > 1) {
-    pdt::ThreadPool pool(jobs);
-    std::vector<std::future<pdt::ductape::PDB>> reads;
-    reads.reserve(paths.size());
-    for (const std::string& path : paths) {
-      reads.push_back(
-          pool.submit([&path] { return pdt::ductape::PDB::read(path); }));
-    }
-    inputs.reserve(paths.size());
-    for (auto& r : reads) inputs.push_back(r.get());
-  } else {
-    inputs.reserve(paths.size());
-    for (const std::string& path : paths)
-      inputs.push_back(pdt::ductape::PDB::read(path));
-  }
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!inputs[i].valid()) {
-      std::cerr << "pdbmerge: " << inputs[i].errorMessage() << '\n';
-      return 1;
-    }
-    // Refuse inputs with dangling item references: merging would silently
-    // drop the broken edges and corrupt the combined database.
-    const std::vector<std::string> errors = pdt::pdb::validate(inputs[i].raw());
-    if (!errors.empty()) {
-      for (const std::string& e : errors)
-        std::cerr << "pdbmerge: " << paths[i] << ": " << e << '\n';
-      std::cerr << "pdbmerge: '" << paths[i]
-                << "' references undefined items; refusing to merge\n";
-      return 1;
-    }
-  }
-
-  const pdt::ductape::PDB merged = pdt::tools::pdbmerge(std::move(inputs), jobs);
-  if (!merged.write(output, format)) {
+  if (!sharded.merged->write(output, format)) {
     std::cerr << "pdbmerge: cannot write '" << output << "'\n";
     return 1;
   }
@@ -195,6 +139,8 @@ int main(int argc, char** argv) {
   if (obs.wanted()) {
     pdt::trace::StatsReport report("pdbmerge");
     report.setCounters(pdt::trace::globalCounters());
+    report.addSection("sharded merge", {{"shards", sharded.stats.shards},
+                                        {"spills", sharded.stats.spills}});
     if (!obs.finish(report)) return 1;
   }
   return 0;

@@ -8,6 +8,7 @@
 #include <system_error>
 #include <utility>
 
+#include "ductape/merger.h"
 #include "pdb/format.h"
 #include "pdb/validate.h"
 #include "support/thread_pool.h"
@@ -19,13 +20,9 @@ namespace {
 namespace fs = std::filesystem;
 
 /// One partial merge: either resident (pdb engaged) or spilled to disk.
-/// `estimate` is the sum of the constituent inputs' on-disk bytes — with
-/// the zero-copy reader a resident partial pins the read buffers of every
-/// input folded into it, so on-disk bytes are an honest footprint proxy.
 struct Partial {
-  std::optional<ductape::PDB> pdb;
+  std::optional<pdb::PdbFile> pdb;
   std::string spill_path;
-  std::uint64_t estimate = 0;
 };
 
 /// Run-scoped spill directory, recursively removed on destruction — a
@@ -79,7 +76,7 @@ bool checkInput(const ductape::PDB& pdb, const std::string& path,
   return true;
 }
 
-/// Shared spill machinery for the fold and reduce phases.
+/// Spill machinery shared by the shard workers.
 struct SpillSink {
   TempDir& dir;
   std::atomic<std::uint64_t> seq{0};
@@ -89,32 +86,29 @@ struct SpillSink {
 
   /// Writes `pdb` to a fresh spill file; empty string on write failure.
   /// Spill I/O is bookkeeping: counted via merge.spills, not pdb.files_*.
-  std::string spill(const ductape::PDB& pdb) {
+  std::string spill(const pdb::PdbFile& pdb) {
     const std::string path =
         dir.path() + "/part_" + std::to_string(seq.fetch_add(1)) + ".pdb";
     PDT_TRACE_SCOPE("merge.spill", path);
     const trace::CounterScope mute(nullptr);
-    if (!pdb.write(path, pdb::Format::Binary)) return {};
-    return path;
-  }
-
-  void countSpill() {
+    if (!pdb::writeFile(pdb, path, pdb::Format::Binary)) return {};
     spills.fetch_add(1);
     trace::count(trace::Counter::MergeSpills);
+    return path;
   }
 };
 
 /// Materializes a partial; reloads spilled ones (reload is bookkeeping
 /// I/O, suppressed from the deterministic counters like the build cache's
-/// fetches). Sets `error` and returns an empty PDB on reload failure.
-ductape::PDB loadPartial(Partial&& p, std::string& error) {
+/// fetches). Sets `error` on reload failure.
+pdb::PdbFile loadPartial(Partial&& p, std::string& error) {
   if (p.pdb) return std::move(*p.pdb);
   const trace::CounterScope mute(nullptr);
   ductape::PDB pdb = ductape::PDB::read(p.spill_path);
   if (!pdb.valid())
     error = "cannot reload spill file '" + p.spill_path +
             "': " + pdb.errorMessage();
-  return pdb;
+  return std::move(pdb).release();
 }
 
 struct ShardOutput {
@@ -132,7 +126,7 @@ ShardOutput mergeShard(const std::vector<std::string>& inputs,
                        std::uint64_t threshold, SpillSink& sink) {
   PDT_TRACE_SCOPE("merge.shard", inputs[begin]);
   ShardOutput out;
-  std::optional<ductape::PDB> acc;
+  std::optional<ductape::Merger> acc;
   std::uint64_t acc_estimate = 0;
   std::size_t acc_inputs = 0;
 
@@ -145,9 +139,9 @@ ShardOutput mergeShard(const std::vector<std::string>& inputs,
       continue;
     }
     if (!acc) {
-      acc = std::move(input);
+      acc.emplace(std::move(input).release());
     } else {
-      acc->merge(input);
+      acc->add(std::move(input).release());
     }
     acc_estimate += fileSize(inputs[i]);
     ++acc_inputs;
@@ -156,47 +150,21 @@ ShardOutput mergeShard(const std::vector<std::string>& inputs,
     // under arbitrarily small budgets.
     if (threshold != 0 && acc_estimate > threshold && acc_inputs >= 2 &&
         i + 1 < end) {
-      std::string path = sink.spill(*acc);
+      std::string path = sink.spill(acc->merged());
       if (path.empty()) {
         out.errors.emplace_back(
             i, std::vector<std::string>{"cannot write spill file in '" +
                                         sink.dir.path() + "'"});
         return out;
       }
-      sink.countSpill();
-      out.partials.push_back({std::nullopt, std::move(path), acc_estimate});
+      out.partials.push_back({std::nullopt, std::move(path)});
       acc.reset();
       acc_estimate = 0;
       acc_inputs = 0;
     }
   }
-  if (acc) out.partials.push_back({std::move(acc), {}, acc_estimate});
+  if (acc) out.partials.push_back({std::move(*acc).release(), {}});
   return out;
-}
-
-/// Merges two adjacent partials (left absorbs right). When more
-/// reduction rounds remain and the result exceeds the budget slice, it
-/// is spilled again so the resident set stays bounded by the pairs in
-/// flight, not by the whole tree.
-Partial reducePair(Partial&& a, Partial&& b, std::uint64_t threshold,
-                   bool final_round, SpillSink& sink, std::string& error) {
-  PDT_TRACE_SCOPE("merge.reduce");
-  const std::uint64_t estimate = a.estimate + b.estimate;
-  ductape::PDB left = loadPartial(std::move(a), error);
-  if (!error.empty()) return {};
-  const ductape::PDB right = loadPartial(std::move(b), error);
-  if (!error.empty()) return {};
-  left.merge(right);
-  if (threshold != 0 && estimate > threshold && !final_round) {
-    std::string path = sink.spill(left);
-    if (path.empty()) {
-      error = "cannot write spill file in '" + sink.dir.path() + "'";
-      return {};
-    }
-    sink.countSpill();
-    return {std::nullopt, std::move(path), estimate};
-  }
-  return {std::move(left), {}, estimate};
 }
 
 }  // namespace
@@ -253,56 +221,34 @@ ShardedMergeResult shardedMergeFiles(const std::vector<std::string>& inputs,
     for (Partial& p : out.partials) partials.push_back(std::move(p));
     for (auto& e : out.errors) input_errors.push_back(std::move(e));
   }
+  result.stats.spills = sink.spills.load();
   if (!input_errors.empty()) {
     std::sort(input_errors.begin(), input_errors.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (auto& [index, lines] : input_errors)
       for (std::string& line : lines) result.errors.push_back(std::move(line));
-    result.stats.spills = sink.spills.load();
     return result;  // spill_dir cleans up on this path too
   }
 
-  // Phase 2: pairwise adjacent reduction of the ordered partials — the
-  // same reduction shape as tools::pdbmerge, so the bracketing change
-  // does not change the bytes.
-  while (partials.size() > 1) {
-    const bool final_round = partials.size() == 2;
-    std::vector<std::future<Partial>> round;
-    std::vector<std::string> errors(partials.size() / 2);
-    round.reserve(partials.size() / 2);
-    for (std::size_t i = 0; i + 1 < partials.size(); i += 2) {
-      Partial a = std::move(partials[i]);
-      Partial b = std::move(partials[i + 1]);
-      std::string* error = &errors[i / 2];
-      round.push_back(pool.submit(
-          [a = std::move(a), b = std::move(b), threshold, final_round, &sink,
-           error]() mutable {
-            return reducePair(std::move(a), std::move(b), threshold,
-                              final_round, sink, *error);
-          }));
-    }
-    std::vector<Partial> reduced;
-    reduced.reserve(round.size() + 1);
-    for (auto& f : round) reduced.push_back(f.get());
-    for (const std::string& e : errors)
-      if (!e.empty()) result.errors.push_back(e);
-    if (!result.errors.empty()) {
-      result.stats.spills = sink.spills.load();
+  // Phase 2: one in-order fold of the partials, loading each (spilled or
+  // resident) only when its turn comes. Shards are contiguous and each was
+  // folded in order, so this replays the serial fold of the inputs.
+  std::optional<ductape::Merger> merger;
+  for (Partial& p : partials) {
+    std::string error;
+    pdb::PdbFile part = loadPartial(std::move(p), error);
+    if (!error.empty()) {
+      result.errors.push_back(std::move(error));
       return result;
     }
-    if (partials.size() % 2 != 0)
-      reduced.push_back(std::move(partials.back()));
-    partials = std::move(reduced);
+    if (!merger) {
+      merger.emplace(std::move(part));
+    } else {
+      merger->add(std::move(part));
+    }
   }
-
-  std::string error;
-  ductape::PDB merged = loadPartial(std::move(partials.front()), error);
-  result.stats.spills = sink.spills.load();
-  if (!error.empty()) {
-    result.errors.push_back(std::move(error));
-    return result;
-  }
-  result.merged.emplace(std::move(merged));
+  result.merged.emplace(
+      ductape::PDB::fromPdbFile(std::move(*merger).release()));
   return result;
   // ~TempDir removes the spill files; the merged database stays valid
   // because spilled buffers it still references are held alive by the

@@ -1,16 +1,15 @@
-// External sharded pdbmerge for corpora that do not fit in memory.
+// pdbmerge's merge of files, for corpora of any size.
 //
-// The in-memory pdbmerge (tools.h) reads every input up front; at the
-// 100k-TU scale the inputs alone exceed RAM. shardedMergeFiles() instead
-// partitions the input list into contiguous shards, folds each shard in a
-// worker that reads one input at a time (the zero-copy reader keeps the
-// working set at "accumulator + current input"), spills a partial merge
-// to a temp binary-v2 file whenever its estimated footprint exceeds the
-// worker's slice of --merge-mem-mb, and finally tree-reduces the ordered
-// partials pairwise. Every fold and reduction preserves input order, so
-// the output is byte-identical to the in-memory merge at any job count
-// and any budget (asserted by tests/integration/sharded_merge_test and
-// the scripts/ci.sh gate).
+// shardedMergeFiles() partitions the input list into contiguous shards,
+// folds each shard into a ductape::Merger in a worker that reads one
+// input at a time (the zero-copy reader keeps the working set at
+// "accumulator + current input"), spills a partial merge to a temp
+// binary-v2 file whenever its estimated footprint exceeds the worker's
+// slice of --merge-mem-mb (0 = never), and finally folds the ordered
+// partials into one Merger. Every fold preserves input order, so the
+// output is byte-identical to the serial fold at any job count and any
+// budget (asserted by tests/integration/sharded_merge_test and the
+// scripts/ci.sh gate).
 //
 // Spill files live in a run-scoped temp directory that is removed on
 // success *and* failure — an interrupted merge leaves no orphaned *.tmp.

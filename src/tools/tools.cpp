@@ -1,15 +1,14 @@
 #include "tools/tools.h"
 
-#include <future>
 #include <iomanip>
 #include <ostream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "ductape/merger.h"
 #include "query/render.h"
 #include "support/text.h"
-#include "support/thread_pool.h"
 
 namespace pdt::tools {
 
@@ -303,38 +302,12 @@ void pdbhtml(const PDB& pdb, std::ostream& os, const std::string& title) {
 // pdbmerge
 // ---------------------------------------------------------------------------
 
-PDB pdbmerge(std::vector<PDB> inputs, std::size_t jobs) {
+PDB pdbmerge(std::vector<PDB> inputs, std::size_t /*jobs*/) {
   if (inputs.empty()) return PDB{};
-  if (jobs <= 1 || inputs.size() < 3) {
-    PDB merged = std::move(inputs.front());
-    for (std::size_t i = 1; i < inputs.size(); ++i) merged.merge(inputs[i]);
-    return merged;
-  }
-
-  // Parallel tree reduction: each round merges adjacent pairs in input
-  // order (log-depth instead of a linear fold). Pair (i, i+1) always merges
-  // i+1 into i, and an odd tail is carried to the next round, so the
-  // sequence of appends — and therefore every assigned id — is identical
-  // to the serial fold.
-  ThreadPool pool(jobs);
-  std::vector<PDB> round = std::move(inputs);
-  while (round.size() > 1) {
-    std::vector<std::future<PDB>> merges;
-    merges.reserve(round.size() / 2);
-    for (std::size_t i = 0; i + 1 < round.size(); i += 2) {
-      merges.push_back(pool.submit(
-          [left = std::move(round[i]), right = std::move(round[i + 1])]() mutable {
-            left.merge(right);
-            return std::move(left);
-          }));
-    }
-    std::vector<PDB> next;
-    next.reserve(merges.size() + 1);
-    for (auto& m : merges) next.push_back(m.get());
-    if (round.size() % 2 != 0) next.push_back(std::move(round.back()));
-    round = std::move(next);
-  }
-  return std::move(round.front());
+  Merger merger(std::move(inputs.front()).release());
+  for (std::size_t i = 1; i < inputs.size(); ++i)
+    merger.add(std::move(inputs[i]).release());
+  return PDB::fromPdbFile(std::move(merger).release());
 }
 
 // ---------------------------------------------------------------------------

@@ -25,11 +25,9 @@ void pdbconv(const ductape::PDB& pdb, std::ostream& os);
 void pdbhtml(const ductape::PDB& pdb, std::ostream& os,
              const std::string& title = "Program Database");
 
-/// pdbmerge: merges `inputs[1..]` into `inputs[0]` and returns the result.
-/// With jobs > 1, adjacent pairs are merged concurrently on a thread pool
-/// in a log-depth tree reduction instead of the linear left fold; the
-/// reduction preserves input order, so the result is byte-identical to the
-/// serial merge (verified by the determinism tests).
+/// pdbmerge: folds `inputs[1..]` into `inputs[0]` in order through one
+/// ductape::Merger, taking each input's records by move. `jobs` no
+/// longer changes the merge; it stays for the callers that pass it.
 [[nodiscard]] ductape::PDB pdbmerge(std::vector<ductape::PDB> inputs,
                                     std::size_t jobs = 1);
 

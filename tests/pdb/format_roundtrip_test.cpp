@@ -196,6 +196,73 @@ TEST(FormatRoundTrip, KrylovSeedIsByteIdentical) {
                                       {inputPath("pooma_mini")}));
 }
 
+/// Every id of `items` resolves to the same position in both databases.
+template <typename Item>
+void expectSameLookups(const PdbFile& read, const PdbFile& reindexed,
+                       const std::vector<Item>& (PdbFile::*items)() const,
+                       const Item* (PdbFile::*find)(std::uint32_t) const) {
+  for (const Item& item : (read.*items)()) {
+    const Item* got = (read.*find)(item.id);
+    const Item* want = (reindexed.*find)(item.id);
+    ASSERT_NE(got, nullptr) << "id " << item.id;
+    ASSERT_NE(want, nullptr) << "id " << item.id;
+    EXPECT_EQ(got - (read.*items)().data(), want - (reindexed.*items)().data())
+        << "id " << item.id;
+  }
+}
+
+// The readers insert every item through PdbFile::add(), which keeps the
+// id maps and next ids exact as it goes; a reindex() of what they return
+// must change nothing, a repeated id included (the last item wins).
+TEST(FormatRoundTrip, ReadIdMapsMatchAFullReindex) {
+  PdbFile source = samplePdb();
+  RoutineItem again;
+  again.name = "again";
+  again.id = source.routines().front().id;
+  source.addRoutine(std::move(again));
+  RoutineItem high;
+  high.name = "high";
+  high.id = 40;
+  source.addRoutine(std::move(high));
+  for (const Format format : {Format::Ascii, Format::Binary}) {
+    SCOPED_TRACE(std::string(formatName(format)));
+    const std::string bytes = writeString(source, format);
+    ReadResult read = readBuffer(bytes);
+    ASSERT_TRUE(read.ok()) << read.errors.front();
+    PdbFile reindexed = read.pdb;
+    reindexed.reindex();
+
+    const PdbFile& got = read.pdb;
+    expectSameLookups(got, reindexed, &PdbFile::sourceFiles,
+                      &PdbFile::findSourceFile);
+    expectSameLookups(got, reindexed, &PdbFile::routines,
+                      &PdbFile::findRoutine);
+    expectSameLookups(got, reindexed, &PdbFile::classes,
+                      &PdbFile::findClass);
+    expectSameLookups(got, reindexed, &PdbFile::types,
+                      &PdbFile::findType);
+    expectSameLookups(got, reindexed, &PdbFile::templates,
+                      &PdbFile::findTemplate);
+    expectSameLookups(got, reindexed, &PdbFile::namespaces,
+                      &PdbFile::findNamespace);
+    expectSameLookups(got, reindexed, &PdbFile::macros,
+                      &PdbFile::findMacro);
+    expectSameLookups(got, reindexed, &PdbFile::defUses,
+                      &PdbFile::findDefUse);
+    expectSameLookups(got, reindexed, &PdbFile::dynProfs,
+                      &PdbFile::findDynProf);
+    const std::uint32_t repeated = source.routines().front().id;
+    ASSERT_NE(got.findRoutine(repeated), nullptr);
+    EXPECT_EQ(got.findRoutine(repeated)->name, "again");
+    for (std::uint8_t k = 0; k <= static_cast<std::uint8_t>(ItemKind::DynProf);
+         ++k)
+      EXPECT_EQ(got.nextId(static_cast<ItemKind>(k)),
+                reindexed.nextId(static_cast<ItemKind>(k)));
+    EXPECT_EQ(read.pdb.addRoutine({}), 41u);
+    EXPECT_EQ(reindexed.addRoutine({}), 41u);
+  }
+}
+
 TEST(FormatRoundTrip, LazyReadLoadsOnlyRequestedSections) {
   const std::string binary = writeString(samplePdb(), Format::Binary);
 
