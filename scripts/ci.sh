@@ -88,6 +88,29 @@ bin_rc=0
     -j "${JOBS}" > "${BUILD}/ci_fmt_check_bin.out" || bin_rc=$?
 [ "${ascii_rc}" -eq "${bin_rc}" ]
 cmp "${BUILD}/ci_fmt_check_ascii.out" "${BUILD}/ci_fmt_check_bin.out"
+# The DUCTAPE graph must not depend on how the merged database is stored
+# or read: pdbtree (all three trees) and pdbhtml agree byte for byte over
+# the ASCII and binary files, each mapped and read with --mmap=off. Every
+# copy is named merged.pdb, so pdbhtml's title (the input path) agrees too.
+for variant in ascii bin; do
+    mkdir -p "${BUILD}/ci_graph_${variant}"
+done
+cp "${BUILD}/ci_fmt_merged.pdb" "${BUILD}/ci_graph_ascii/merged.pdb"
+cp "${BUILD}/ci_fmt_merged.bpdb" "${BUILD}/ci_graph_bin/merged.pdb"
+for variant in ascii bin; do
+    for mmap in auto off; do
+        out="${BUILD}/ci_graph_${variant}_${mmap}.out"
+        (
+            cd "${BUILD}/ci_graph_${variant}"
+            for mode in --calls --classes --includes; do
+                "${BUILD}/src/tools/pdbtree" merged.pdb "${mode}" --mmap="${mmap}"
+            done
+            "${BUILD}/src/tools/pdbhtml" merged.pdb --mmap="${mmap}"
+        ) > "${out}"
+        cmp "${BUILD}/ci_graph_ascii_auto.out" "${out}"
+    done
+done
+echo "graph OK: pdbtree and pdbhtml agree across formats and --mmap modes"
 
 echo "== dataflow rules =="
 # The dataflow rules (docs/PDBCHECK.md) must agree across storage formats

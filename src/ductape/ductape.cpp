@@ -1,8 +1,7 @@
 #include "ductape/ductape.h"
 
 #include <ostream>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 
 #include "ductape/merger.h"
 #include "pdb/reader.h"
@@ -88,89 +87,55 @@ void PDB::ensureBuilt() const {
 }
 
 void PDB::build() {
-  file_storage_.clear();
-  routine_storage_.clear();
-  class_storage_.clear();
-  type_storage_.clear();
-  template_storage_.clear();
-  namespace_storage_.clear();
-  macro_storage_.clear();
-  call_storage_.clear();
-  files_.clear();
-  routines_.clear();
-  classes_.clear();
-  types_.clear();
-  templates_.clear();
-  namespaces_.clear();
-  macros_.clear();
+  // One node array per kind, sized once from the kind's records: node i is
+  // built from record i, so its ordinal is its position, and a record found
+  // through raw_'s id index names its node.
+  const auto layOut = [](auto& nodes, auto& view, const auto& records) {
+    nodes = std::remove_reference_t<decltype(nodes)>(records.size());
+    view.resize(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      nodes[i].name_ = records[i].name;
+      nodes[i].id_ = static_cast<int>(records[i].id);
+      nodes[i].ordinal_ = static_cast<std::uint32_t>(i);
+      view[i] = &nodes[i];
+    }
+  };
+  layOut(file_nodes_, files_, raw_.sourceFiles());
+  layOut(routine_nodes_, routines_, raw_.routines());
+  layOut(class_nodes_, classes_, raw_.classes());
+  layOut(type_nodes_, types_, raw_.types());
+  layOut(template_nodes_, templates_, raw_.templates());
+  layOut(namespace_nodes_, namespaces_, raw_.namespaces());
+  layOut(macro_nodes_, macros_, raw_.macros());
 
-  std::unordered_map<std::uint32_t, pdbFile*> file_by_id;
-  std::unordered_map<std::uint32_t, pdbRoutine*> routine_by_id;
-  std::unordered_map<std::uint32_t, pdbClass*> class_by_id;
-  std::unordered_map<std::uint32_t, pdbType*> type_by_id;
-  std::unordered_map<std::uint32_t, pdbTemplate*> template_by_id;
-  std::unordered_map<std::uint32_t, pdbNamespace*> namespace_by_id;
-
-  // Pass 1: create all objects so cross-references can be wired in pass 2.
-  for (const auto& f : raw_.sourceFiles()) {
-    auto obj = std::make_unique<pdbFile>(std::string(f.name), static_cast<int>(f.id));
-    obj->system_ = f.system;
-    file_by_id[f.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(files_.size());
-    files_.push_back(obj.get());
-    file_storage_.push_back(std::move(obj));
-  }
-  for (const auto& r : raw_.routines()) {
-    auto obj = std::make_unique<pdbRoutine>(std::string(r.name), static_cast<int>(r.id));
-    routine_by_id[r.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(routines_.size());
-    routines_.push_back(obj.get());
-    routine_storage_.push_back(std::move(obj));
-  }
-  for (const auto& c : raw_.classes()) {
-    auto obj = std::make_unique<pdbClass>(std::string(c.name), static_cast<int>(c.id));
-    class_by_id[c.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(classes_.size());
-    classes_.push_back(obj.get());
-    class_storage_.push_back(std::move(obj));
-  }
-  for (const auto& t : raw_.types()) {
-    auto obj = std::make_unique<pdbType>(std::string(t.name), static_cast<int>(t.id));
-    type_by_id[t.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(types_.size());
-    types_.push_back(obj.get());
-    type_storage_.push_back(std::move(obj));
-  }
-  for (const auto& t : raw_.templates()) {
-    auto obj = std::make_unique<pdbTemplate>(std::string(t.name), static_cast<int>(t.id));
-    template_by_id[t.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(templates_.size());
-    templates_.push_back(obj.get());
-    template_storage_.push_back(std::move(obj));
-  }
-  for (const auto& n : raw_.namespaces()) {
-    auto obj = std::make_unique<pdbNamespace>(std::string(n.name), static_cast<int>(n.id));
-    namespace_by_id[n.id] = obj.get();
-    obj->ordinal_ = static_cast<std::uint32_t>(namespaces_.size());
-    namespaces_.push_back(obj.get());
-    namespace_storage_.push_back(std::move(obj));
-  }
-  for (const auto& m : raw_.macros()) {
-    auto obj = std::make_unique<pdbMacro>(std::string(m.name), static_cast<int>(m.id));
-    obj->kind_ = m.kind == "undef" ? pdbMacro::MA_UNDEF : pdbMacro::MA_DEF;
-    obj->text_ = m.text;
-    obj->ordinal_ = static_cast<std::uint32_t>(macros_.size());
-    macros_.push_back(obj.get());
-    macro_storage_.push_back(std::move(obj));
-  }
+  // Null when the id does not resolve: absent, or its section not loaded.
+  const auto nodeFor = [](auto& nodes, const auto& records, const auto* found) {
+    return found == nullptr
+               ? nullptr
+               : &nodes[static_cast<std::size_t>(found - records.data())];
+  };
+  const auto fileOf = [&](std::uint32_t id) {
+    return nodeFor(file_nodes_, raw_.sourceFiles(), raw_.findSourceFile(id));
+  };
+  const auto routineOf = [&](std::uint32_t id) {
+    return nodeFor(routine_nodes_, raw_.routines(), raw_.findRoutine(id));
+  };
+  const auto classOf = [&](std::uint32_t id) {
+    return nodeFor(class_nodes_, raw_.classes(), raw_.findClass(id));
+  };
+  const auto typeOf = [&](std::uint32_t id) {
+    return nodeFor(type_nodes_, raw_.types(), raw_.findType(id));
+  };
+  const auto templateOf = [&](std::uint32_t id) {
+    return nodeFor(template_nodes_, raw_.templates(), raw_.findTemplate(id));
+  };
+  const auto namespaceOf = [&](std::uint32_t id) {
+    return nodeFor(namespace_nodes_, raw_.namespaces(), raw_.findNamespace(id));
+  };
 
   const auto loc = [&](const pdb::Pos& pos) -> pdbLoc {
-    pdbLoc l;
-    if (const auto it = file_by_id.find(pos.file); it != file_by_id.end())
-      l.file_ptr = it->second;
-    l.line_ = static_cast<int>(pos.line);
-    l.col_ = static_cast<int>(pos.column);
-    return l;
+    return {fileOf(pos.file), static_cast<int>(pos.line),
+            static_cast<int>(pos.column)};
   };
   const auto access = [](std::string_view a) {
     if (a == "pub") return pdbItem::AC_PUB;
@@ -178,214 +143,178 @@ void PDB::build() {
     if (a == "priv") return pdbItem::AC_PRIV;
     return pdbItem::AC_NA;
   };
-  const auto typeOf = [&](const pdb::ItemRef& ref) -> const pdbType* {
-    if (ref.kind != pdb::ItemKind::Type) return nullptr;
-    const auto it = type_by_id.find(ref.id);
-    return it == type_by_id.end() ? nullptr : it->second;
+  const auto typeRef = [&](const pdb::ItemRef& ref) -> const pdbType* {
+    return ref.kind == pdb::ItemKind::Type ? typeOf(ref.id) : nullptr;
   };
-  const auto classOf = [&](const pdb::ItemRef& ref) -> const pdbClass* {
-    if (ref.kind != pdb::ItemKind::Class) return nullptr;
-    const auto it = class_by_id.find(ref.id);
-    return it == class_by_id.end() ? nullptr : it->second;
+  const auto classRef = [&](const pdb::ItemRef& ref) -> const pdbClass* {
+    return ref.kind == pdb::ItemKind::Class ? classOf(ref.id) : nullptr;
   };
-  const auto setParent = [&](pdbItem* item, const std::optional<pdb::ItemRef>& p) {
+  const auto setParent = [&](pdbItem& item, const std::optional<pdb::ItemRef>& p) {
     if (!p) return;
-    if (p->kind == pdb::ItemKind::Class) {
-      if (const auto it = class_by_id.find(p->id); it != class_by_id.end())
-        item->parent_class_ = it->second;
-    } else if (p->kind == pdb::ItemKind::Namespace) {
-      if (const auto it = namespace_by_id.find(p->id); it != namespace_by_id.end())
-        item->parent_nspace_ = it->second;
-    }
+    if (p->kind == pdb::ItemKind::Class) item.parent_class_ = classOf(p->id);
+    else if (p->kind == pdb::ItemKind::Namespace) item.parent_nspace_ = namespaceOf(p->id);
   };
-  const auto setFat = [&](pdbFatItem* item, const pdb::Extent& e) {
-    item->head_begin_ = loc(e.header_begin);
-    item->head_end_ = loc(e.header_end);
-    item->body_begin_ = loc(e.body_begin);
-    item->body_end_ = loc(e.body_end);
+  const auto setFat = [&](pdbFatItem& item, const pdb::Extent& e) {
+    item.head_begin_ = loc(e.header_begin);
+    item.head_end_ = loc(e.header_end);
+    item.body_begin_ = loc(e.body_begin);
+    item.body_end_ = loc(e.body_end);
   };
 
-  // Pass 2: wire attributes and cross-references.
-  for (const auto& f : raw_.sourceFiles()) {
-    pdbFile* obj = file_by_id.at(f.id);
+  // Each node is wired from its own record, in record order.
+  for (std::size_t i = 0; i < file_nodes_.size(); ++i) {
+    const pdb::SourceFileItem& f = raw_.sourceFiles()[i];
+    pdbFile& obj = file_nodes_[i];
+    obj.system_ = f.system;
     for (const std::uint32_t inc : f.includes) {
-      if (const auto it = file_by_id.find(inc); it != file_by_id.end())
-        obj->includes_.push_back(it->second);
+      if (const pdbFile* included = fileOf(inc)) obj.includes_.push_back(included);
     }
   }
-  for (const auto& t : raw_.types()) {
-    pdbType* obj = type_by_id.at(t.id);
-    if (t.kind == "bool") obj->kind_ = pdbType::TY_BOOL;
-    else if (t.kind == "char") obj->kind_ = pdbType::TY_CHAR;
-    else if (t.kind == "int") obj->kind_ = pdbType::TY_INT;
-    else if (t.kind == "float") obj->kind_ = pdbType::TY_FLOAT;
-    else if (t.kind == "void") obj->kind_ = pdbType::TY_VOID;
-    else if (t.kind == "wchar") obj->kind_ = pdbType::TY_WCHAR;
-    else if (t.kind == "ptr") obj->kind_ = pdbType::TY_PTR;
-    else if (t.kind == "ref") obj->kind_ = pdbType::TY_REF;
-    else if (t.kind == "tref") obj->kind_ = pdbType::TY_TREF;
-    else if (t.kind == "func") obj->kind_ = pdbType::TY_FUNC;
-    else if (t.kind == "enum") obj->kind_ = pdbType::TY_ENUM;
-    else if (t.kind == "array") obj->kind_ = pdbType::TY_ARRAY;
-    else if (t.kind == "class") obj->kind_ = pdbType::TY_CLASS;
-    else if (t.kind == "tparam") obj->kind_ = pdbType::TY_TPARAM;
-    else if (t.kind == "typedef") obj->kind_ = pdbType::TY_TYPEDEF;
-    else obj->kind_ = pdbType::TY_OTHER;
+  for (std::size_t i = 0; i < type_nodes_.size(); ++i) {
+    const pdb::TypeItem& t = raw_.types()[i];
+    pdbType& obj = type_nodes_[i];
+    if (t.kind == "bool") obj.kind_ = pdbType::TY_BOOL;
+    else if (t.kind == "char") obj.kind_ = pdbType::TY_CHAR;
+    else if (t.kind == "int") obj.kind_ = pdbType::TY_INT;
+    else if (t.kind == "float") obj.kind_ = pdbType::TY_FLOAT;
+    else if (t.kind == "void") obj.kind_ = pdbType::TY_VOID;
+    else if (t.kind == "wchar") obj.kind_ = pdbType::TY_WCHAR;
+    else if (t.kind == "ptr") obj.kind_ = pdbType::TY_PTR;
+    else if (t.kind == "ref") obj.kind_ = pdbType::TY_REF;
+    else if (t.kind == "tref") obj.kind_ = pdbType::TY_TREF;
+    else if (t.kind == "func") obj.kind_ = pdbType::TY_FUNC;
+    else if (t.kind == "enum") obj.kind_ = pdbType::TY_ENUM;
+    else if (t.kind == "array") obj.kind_ = pdbType::TY_ARRAY;
+    else if (t.kind == "class") obj.kind_ = pdbType::TY_CLASS;
+    else if (t.kind == "tparam") obj.kind_ = pdbType::TY_TPARAM;
+    else if (t.kind == "typedef") obj.kind_ = pdbType::TY_TYPEDEF;
+    else obj.kind_ = pdbType::TY_OTHER;
     if (t.ref) {
-      obj->referenced_ = typeOf(*t.ref);
-      obj->referenced_class_ = classOf(*t.ref);
+      obj.referenced_ = typeRef(*t.ref);
+      obj.referenced_class_ = classRef(*t.ref);
     }
     for (const std::string_view q : t.qualifiers) {
-      if (q == "const") obj->is_const_ = true;
-      if (q == "volatile") obj->is_volatile_ = true;
+      if (q == "const") obj.is_const_ = true;
+      if (q == "volatile") obj.is_volatile_ = true;
     }
-    if (t.return_type) obj->return_type_ = typeOf(*t.return_type);
+    if (t.return_type) obj.return_type_ = typeRef(*t.return_type);
     for (const auto& p : t.params) {
-      if (const pdbType* pt = typeOf(p)) obj->arguments_.push_back(pt);
+      if (const pdbType* pt = typeRef(p)) obj.arguments_.push_back(pt);
     }
-    obj->ellipsis_ = t.has_ellipsis;
+    obj.ellipsis_ = t.has_ellipsis;
     for (const auto& e : t.exception_specs) {
-      if (const pdbType* et = typeOf(e)) obj->exception_spec_.push_back(et);
+      if (const pdbType* et = typeRef(e)) obj.exception_spec_.push_back(et);
     }
-    obj->array_size_ = static_cast<long>(t.array_size);
+    obj.array_size_ = static_cast<long>(t.array_size);
     for (const auto& [name, value] : t.enumerators)
-      obj->enum_constants_.emplace_back(name, static_cast<long>(value));
+      obj.enum_constants_.emplace_back(name, static_cast<long>(value));
   }
-  for (const auto& t : raw_.templates()) {
-    pdbTemplate* obj = template_by_id.at(t.id);
-    obj->location_ = loc(t.location);
-    obj->access_ = access(t.access);
+  for (std::size_t i = 0; i < template_nodes_.size(); ++i) {
+    const pdb::TemplateItem& t = raw_.templates()[i];
+    pdbTemplate& obj = template_nodes_[i];
+    obj.location_ = loc(t.location);
+    obj.access_ = access(t.access);
     setParent(obj, t.parent);
-    if (t.kind == "func") obj->kind_ = pdbItem::TE_FUNC;
-    else if (t.kind == "memfunc") obj->kind_ = pdbItem::TE_MEMFUNC;
-    else if (t.kind == "statmem") obj->kind_ = pdbItem::TE_STATMEM;
-    else if (t.kind == "alias") obj->kind_ = pdbItem::TE_ALIAS;
-    else obj->kind_ = pdbItem::TE_CLASS;
-    obj->text_ = t.text;
+    if (t.kind == "func") obj.kind_ = pdbItem::TE_FUNC;
+    else if (t.kind == "memfunc") obj.kind_ = pdbItem::TE_MEMFUNC;
+    else if (t.kind == "statmem") obj.kind_ = pdbItem::TE_STATMEM;
+    else if (t.kind == "alias") obj.kind_ = pdbItem::TE_ALIAS;
+    else obj.kind_ = pdbItem::TE_CLASS;
+    obj.text_ = t.text;
     setFat(obj, t.extent);
   }
-  for (const auto& c : raw_.classes()) {
-    pdbClass* obj = class_by_id.at(c.id);
-    obj->location_ = loc(c.location);
-    obj->access_ = access(c.access);
+  for (std::size_t i = 0; i < class_nodes_.size(); ++i) {
+    const pdb::ClassItem& c = raw_.classes()[i];
+    pdbClass& obj = class_nodes_[i];
+    obj.location_ = loc(c.location);
+    obj.access_ = access(c.access);
     setParent(obj, c.parent);
-    obj->kind_ = c.kind == "struct"
-                     ? pdbClass::CL_STRUCT
-                     : (c.kind == "union" ? pdbClass::CL_UNION : pdbClass::CL_CLASS);
-    if (c.template_id) {
-      if (const auto it = template_by_id.find(*c.template_id);
-          it != template_by_id.end())
-        obj->template_ = it->second;
-    }
-    obj->specialized_ = c.is_specialization;
+    obj.kind_ = c.kind == "struct"
+                    ? pdbClass::CL_STRUCT
+                    : (c.kind == "union" ? pdbClass::CL_UNION : pdbClass::CL_CLASS);
+    if (c.template_id) obj.template_ = templateOf(*c.template_id);
+    obj.specialized_ = c.is_specialization;
     for (const auto& b : c.bases) {
-      if (const auto it = class_by_id.find(b.cls); it != class_by_id.end()) {
-        pdbBase base;
-        base.base_ptr = it->second;
-        base.access_ = access(b.access);
-        base.virtual_ = b.is_virtual;
-        obj->bases_.push_back(base);
-        it->second->derived_.push_back(obj);
-      }
+      pdbClass* base = classOf(b.cls);
+      if (base == nullptr) continue;
+      obj.bases_.push_back({base, access(b.access), b.is_virtual});
+      base->derived_.push_back(&obj);
     }
-    for (const auto& f : c.friends) {
-      pdbFriend fr;
-      fr.is_class_ = f.is_class;
-      fr.name_ = f.name;
-      obj->friends_.push_back(std::move(fr));
-    }
+    for (const auto& f : c.friends)
+      obj.friends_.push_back({f.is_class, std::string(f.name)});
     for (const auto& mf : c.funcs) {
-      if (const auto it = routine_by_id.find(mf.routine); it != routine_by_id.end())
-        obj->funcs_.push_back(it->second);
+      if (const pdbRoutine* r = routineOf(mf.routine)) obj.funcs_.push_back(r);
     }
     for (const auto& m : c.members) {
-      pdbMember mem;
-      mem.name_ = m.name;
-      mem.location_ = loc(m.location);
-      mem.access_ = access(m.access);
-      mem.kind_ = m.kind;
-      mem.type_ = typeOf(m.type);
-      mem.class_type_ = classOf(m.type);
-      obj->members_.push_back(std::move(mem));
+      obj.members_.push_back({std::string(m.name), loc(m.location), access(m.access),
+                              std::string(m.kind), typeRef(m.type), classRef(m.type)});
     }
     setFat(obj, c.extent);
   }
-  for (const auto& r : raw_.routines()) {
-    pdbRoutine* obj = routine_by_id.at(r.id);
-    obj->location_ = loc(r.location);
-    obj->access_ = access(r.access);
+  // Every call edge, callee and caller direction, lives in calls_, which
+  // is sized for all of them up front so the edge pointers stay put.
+  std::size_t edges = 0;
+  for (const auto& r : raw_.routines()) edges += r.calls.size();
+  calls_.clear();
+  calls_.reserve(2 * edges);
+  for (std::size_t i = 0; i < routine_nodes_.size(); ++i) {
+    const pdb::RoutineItem& r = raw_.routines()[i];
+    pdbRoutine& obj = routine_nodes_[i];
+    obj.location_ = loc(r.location);
+    obj.access_ = access(r.access);
     setParent(obj, r.parent);
-    if (const auto it = type_by_id.find(r.signature); it != type_by_id.end())
-      obj->signature_ = it->second;
-    if (r.kind == "ctor") obj->kind_ = pdbItem::RO_CTOR;
-    else if (r.kind == "dtor") obj->kind_ = pdbItem::RO_DTOR;
-    else if (r.kind == "conv") obj->kind_ = pdbItem::RO_CONV;
-    else if (r.kind == "op") obj->kind_ = pdbItem::RO_OP;
-    else obj->kind_ = pdbItem::RO_NORMAL;
-    obj->virtuality_ = r.virtuality == "pure"
-                           ? pdbItem::VI_PURE
-                           : (r.virtuality == "virt" ? pdbItem::VI_VIRT
-                                                     : pdbItem::VI_NO);
-    obj->linkage_ = r.linkage == "C" ? pdbRoutine::LK_C : pdbRoutine::LK_CXX;
-    obj->storage_ = r.storage == "static"
-                        ? pdbRoutine::ST_STATIC
-                        : (r.storage == "extern" ? pdbRoutine::ST_EXTERN
-                                                 : pdbRoutine::ST_NA);
-    obj->static_ = r.is_static;
-    obj->inline_ = r.is_inline;
-    obj->explicit_ = r.is_explicit;
-    obj->defined_ = r.defined;
-    if (r.template_id) {
-      if (const auto it = template_by_id.find(*r.template_id);
-          it != template_by_id.end())
-        obj->template_ = it->second;
-    }
-    obj->specialized_ = r.is_specialization;
+    obj.signature_ = typeOf(r.signature);
+    if (r.kind == "ctor") obj.kind_ = pdbItem::RO_CTOR;
+    else if (r.kind == "dtor") obj.kind_ = pdbItem::RO_DTOR;
+    else if (r.kind == "conv") obj.kind_ = pdbItem::RO_CONV;
+    else if (r.kind == "op") obj.kind_ = pdbItem::RO_OP;
+    else obj.kind_ = pdbItem::RO_NORMAL;
+    obj.virtuality_ = r.virtuality == "pure"
+                          ? pdbItem::VI_PURE
+                          : (r.virtuality == "virt" ? pdbItem::VI_VIRT
+                                                    : pdbItem::VI_NO);
+    obj.linkage_ = r.linkage == "C" ? pdbRoutine::LK_C : pdbRoutine::LK_CXX;
+    obj.storage_ = r.storage == "static"
+                       ? pdbRoutine::ST_STATIC
+                       : (r.storage == "extern" ? pdbRoutine::ST_EXTERN
+                                                : pdbRoutine::ST_NA);
+    obj.static_ = r.is_static;
+    obj.inline_ = r.is_inline;
+    obj.explicit_ = r.is_explicit;
+    obj.defined_ = r.defined;
+    if (r.template_id) obj.template_ = templateOf(*r.template_id);
+    obj.specialized_ = r.is_specialization;
     setFat(obj, r.extent);
+    obj.callees_.reserve(r.calls.size());
     for (const auto& call : r.calls) {
-      const auto it = routine_by_id.find(call.routine);
-      if (it == routine_by_id.end()) continue;
-      auto edge = std::make_unique<pdbCall>(it->second, call.is_virtual,
-                                            loc(call.position));
-      obj->callees_.push_back(edge.get());
-      // Inverse edge: the callee's callers record who calls it and where.
-      auto inverse = std::make_unique<pdbCall>(obj, call.is_virtual,
-                                               loc(call.position));
-      it->second->callers_.push_back(inverse.get());
-      call_storage_.push_back(std::move(edge));
-      call_storage_.push_back(std::move(inverse));
+      pdbRoutine* callee = routineOf(call.routine);
+      if (callee == nullptr) continue;
+      const pdbLoc at = loc(call.position);
+      obj.callees_.push_back(&calls_.emplace_back(callee, call.is_virtual, at));
+      callee->callers_.push_back(&calls_.emplace_back(&obj, call.is_virtual, at));
     }
   }
-  for (const auto& n : raw_.namespaces()) {
-    pdbNamespace* obj = namespace_by_id.at(n.id);
-    obj->location_ = loc(n.location);
-    obj->alias_ = n.alias;
+  for (std::size_t i = 0; i < namespace_nodes_.size(); ++i) {
+    const pdb::NamespaceItem& n = raw_.namespaces()[i];
+    pdbNamespace& obj = namespace_nodes_[i];
+    obj.location_ = loc(n.location);
+    obj.alias_ = n.alias;
     for (const auto& m : n.members) {
       const pdbItem* member = nullptr;
       switch (m.kind) {
-        case pdb::ItemKind::Routine:
-          if (const auto it = routine_by_id.find(m.id); it != routine_by_id.end())
-            member = it->second;
-          break;
-        case pdb::ItemKind::Class:
-          if (const auto it = class_by_id.find(m.id); it != class_by_id.end())
-            member = it->second;
-          break;
-        case pdb::ItemKind::Namespace:
-          if (const auto it = namespace_by_id.find(m.id);
-              it != namespace_by_id.end())
-            member = it->second;
-          break;
-        case pdb::ItemKind::Template:
-          if (const auto it = template_by_id.find(m.id);
-              it != template_by_id.end())
-            member = it->second;
-          break;
-        default:
-          break;
+        case pdb::ItemKind::Routine: member = routineOf(m.id); break;
+        case pdb::ItemKind::Class: member = classOf(m.id); break;
+        case pdb::ItemKind::Namespace: member = namespaceOf(m.id); break;
+        case pdb::ItemKind::Template: member = templateOf(m.id); break;
+        default: break;
       }
-      if (member != nullptr) obj->members_.push_back(member);
+      if (member != nullptr) obj.members_.push_back(member);
     }
+  }
+  for (std::size_t i = 0; i < macro_nodes_.size(); ++i) {
+    const pdb::MacroItem& m = raw_.macros()[i];
+    macro_nodes_[i].kind_ = m.kind == "undef" ? pdbMacro::MA_UNDEF : pdbMacro::MA_DEF;
+    macro_nodes_[i].text_ = m.text;
   }
 }
 
@@ -410,13 +339,13 @@ PDB::itemvec PDB::getItemVec() const {
 
 PDB::filevec PDB::getIncludeTreeRoots() const {
   ensureBuilt();
-  std::unordered_set<const pdbFile*> included;
+  std::vector<bool> included(files_.size());
   for (const pdbFile* f : files_) {
-    for (const pdbFile* inc : f->includes()) included.insert(inc);
+    for (const pdbFile* inc : f->includes()) included[inc->ordinal()] = true;
   }
   filevec roots;
   for (const pdbFile* f : files_) {
-    if (!included.contains(f)) roots.push_back(f);
+    if (!included[f->ordinal()]) roots.push_back(f);
   }
   return roots;
 }

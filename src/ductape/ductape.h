@@ -21,11 +21,18 @@
 // information". Naming follows the paper's code excerpts (Figures 5/6):
 // pdbRoutine::callvec, callees(), call(), isVirtual(), fullName(),
 // flag(), PDB::getTemplateVec(), pdbItem::TE_MEMFUNC, ...
+//
+// Storage: the graph is an id-indexed view over the PDB's records, built
+// lazily on first access. Each kind's nodes live in one contiguous array
+// with node i built from record i, so pdbSimpleItem::ordinal() is the
+// position of both. A reference by id resolves through the records' own
+// id index (pdb::PdbFile::find*), and the record found names its node by
+// position; there is no second id map. Call edges of both directions
+// share one array sized from the total call count.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -525,15 +532,21 @@ class PDB {
   std::string error_;
   mutable bool graph_dirty_ = false;
 
-  std::vector<std::unique_ptr<pdbFile>> file_storage_;
-  std::vector<std::unique_ptr<pdbRoutine>> routine_storage_;
-  std::vector<std::unique_ptr<pdbClass>> class_storage_;
-  std::vector<std::unique_ptr<pdbType>> type_storage_;
-  std::vector<std::unique_ptr<pdbTemplate>> template_storage_;
-  std::vector<std::unique_ptr<pdbNamespace>> namespace_storage_;
-  std::vector<std::unique_ptr<pdbMacro>> macro_storage_;
-  std::vector<std::unique_ptr<pdbCall>> call_storage_;
+  // The object graph (see the header comment): one node array per kind,
+  // node i built from record i of raw_, and every call edge of both
+  // directions in calls_. build() sizes each array before wiring it and
+  // nothing grows them after, so the pointers handed out stay valid until
+  // the next rebuild — also across a move of the PDB.
+  std::vector<pdbFile> file_nodes_;
+  std::vector<pdbRoutine> routine_nodes_;
+  std::vector<pdbClass> class_nodes_;
+  std::vector<pdbType> type_nodes_;
+  std::vector<pdbTemplate> template_nodes_;
+  std::vector<pdbNamespace> namespace_nodes_;
+  std::vector<pdbMacro> macro_nodes_;
+  std::vector<pdbCall> calls_;
 
+  // The accessor vectors: pointers to the nodes above, in record order.
   filevec files_;
   routinevec routines_;
   classvec classes_;

@@ -30,6 +30,13 @@ std::vector<std::pair<K, std::uint32_t>> byId(
   return items;
 }
 
+/// The record `found` points at, for writing. `found` is what one of the
+/// database's find*() lookups returned, so it points into `records`.
+template <typename T>
+T& recordAt(std::vector<T>& records, const T* found) {
+  return records[static_cast<std::size_t>(found - records.data())];
+}
+
 }  // namespace
 
 IlAnalyzer::IlAnalyzer(const frontend::CompileResult& result,
@@ -258,12 +265,8 @@ void IlAnalyzer::collectFiles() {
     const auto from = file_ids_.find(edge.includer);
     const auto to = file_ids_.find(edge.includee);
     if (from == file_ids_.end() || to == file_ids_.end()) continue;
-    for (pdb::SourceFileItem& f : out_.sourceFiles()) {
-      if (f.id == from->second) {
-        f.includes.push_back(to->second);
-        break;
-      }
-    }
+    recordAt(out_.sourceFiles(), out_.findSourceFile(from->second))
+        .includes.push_back(to->second);
   }
 }
 
@@ -364,131 +367,116 @@ void IlAnalyzer::collectRoutines(const DeclContext* ctx) {
 // ---------------------------------------------------------------------------
 
 void IlAnalyzer::emitTemplates() {
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < out_.templates().size(); ++i)
-    index[out_.templates()[i].id] = i;
   for (const auto& [decl, id] : byId(template_ids_)) {
     const auto* td = decl->as<TemplateDecl>();
-    {
-      pdb::TemplateItem& item = out_.templates()[index.at(id)];
-      item.location = pos(td->location());
-      item.kind = toString(td->tkind);
-      item.text = out_.own(td->text);
-      item.parent = parentRef(td);
-      if (td->access() != AccessKind::None)
-        item.access = toString(td->access());
-      item.extent = extent(td);
-    }
+    pdb::TemplateItem& item = recordAt(out_.templates(), out_.findTemplate(id));
+    item.location = pos(td->location());
+    item.kind = toString(td->tkind);
+    item.text = out_.own(td->text);
+    item.parent = parentRef(td);
+    if (td->access() != AccessKind::None)
+      item.access = toString(td->access());
+    item.extent = extent(td);
   }
 }
 
 void IlAnalyzer::emitClasses() {
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < out_.classes().size(); ++i)
-    index[out_.classes()[i].id] = i;
   for (const auto& [decl, id] : byId(class_ids_)) {
     const auto* cls = decl->as<ClassDecl>();
-    {
-      pdb::ClassItem& item = out_.classes()[index.at(id)];
-      item.location = pos(cls->location());
-      item.kind = toString(cls->tag);
-      item.parent = parentRef(cls);
-      if (cls->access() != AccessKind::None)
-        item.access = toString(cls->access());
-      item.is_specialization = cls->is_specialization;
-      if (const auto origin =
-              templateOrigin(cls->instantiated_from, cls->location())) {
-        item.template_id = *origin;
-      }
-      for (const BaseSpecifier& base : cls->bases) {
-        if (base.base == nullptr) continue;
-        const auto it = class_ids_.find(base.base);
-        if (it == class_ids_.end()) continue;
-        pdb::ClassItem::Base b;
-        b.cls = it->second;
-        b.access = toString(base.access);
-        b.is_virtual = base.is_virtual;
-        item.bases.push_back(std::move(b));
-      }
-      for (const FriendEntry& f : cls->friends) {
-        pdb::ClassItem::Friend pf;
-        pf.is_class = f.is_class;
-        pf.name = out_.own(f.name);
-        if (f.resolved != nullptr) {
-          if (const auto it = class_ids_.find(f.resolved); it != class_ids_.end())
-            pf.ref = pdb::ItemRef{pdb::ItemKind::Class, it->second};
-          else if (const auto rt = routine_ids_.find(f.resolved);
-                   rt != routine_ids_.end())
-            pf.ref = pdb::ItemRef{pdb::ItemKind::Routine, rt->second};
-        }
-        item.friends.push_back(std::move(pf));
-      }
-      for (const Decl* member : cls->children()) {
-        if (const auto* fn = member->as<FunctionDecl>()) {
-          const auto it = routine_ids_.find(fn);
-          if (it == routine_ids_.end()) continue;
-          item.funcs.push_back({it->second, pos(fn->location())});
-        } else if (const auto* var = member->as<VarDecl>()) {
-          pdb::ClassItem::Member m;
-          m.name = out_.own(var->name());
-          m.location = pos(var->location());
-          m.access = toString(var->access());
-          m.kind = "var";
-          m.type = typeRef(var->type);
-          item.members.push_back(std::move(m));
-        } else if (const auto* tdf = member->as<TypedefDecl>()) {
-          pdb::ClassItem::Member m;
-          m.name = out_.own(tdf->name());
-          m.location = pos(tdf->location());
-          m.access = toString(tdf->access());
-          m.kind = "type";
-          m.type = typeRef(tdf->underlying);
-          item.members.push_back(std::move(m));
-        }
-      }
-      item.extent = extent(cls);
+    pdb::ClassItem& item = recordAt(out_.classes(), out_.findClass(id));
+    item.location = pos(cls->location());
+    item.kind = toString(cls->tag);
+    item.parent = parentRef(cls);
+    if (cls->access() != AccessKind::None)
+      item.access = toString(cls->access());
+    item.is_specialization = cls->is_specialization;
+    if (const auto origin =
+            templateOrigin(cls->instantiated_from, cls->location())) {
+      item.template_id = *origin;
     }
+    for (const BaseSpecifier& base : cls->bases) {
+      if (base.base == nullptr) continue;
+      const auto it = class_ids_.find(base.base);
+      if (it == class_ids_.end()) continue;
+      pdb::ClassItem::Base b;
+      b.cls = it->second;
+      b.access = toString(base.access);
+      b.is_virtual = base.is_virtual;
+      item.bases.push_back(std::move(b));
+    }
+    for (const FriendEntry& f : cls->friends) {
+      pdb::ClassItem::Friend pf;
+      pf.is_class = f.is_class;
+      pf.name = out_.own(f.name);
+      if (f.resolved != nullptr) {
+        if (const auto it = class_ids_.find(f.resolved); it != class_ids_.end())
+          pf.ref = pdb::ItemRef{pdb::ItemKind::Class, it->second};
+        else if (const auto rt = routine_ids_.find(f.resolved);
+                 rt != routine_ids_.end())
+          pf.ref = pdb::ItemRef{pdb::ItemKind::Routine, rt->second};
+      }
+      item.friends.push_back(std::move(pf));
+    }
+    for (const Decl* member : cls->children()) {
+      if (const auto* fn = member->as<FunctionDecl>()) {
+        const auto it = routine_ids_.find(fn);
+        if (it == routine_ids_.end()) continue;
+        item.funcs.push_back({it->second, pos(fn->location())});
+      } else if (const auto* var = member->as<VarDecl>()) {
+        pdb::ClassItem::Member m;
+        m.name = out_.own(var->name());
+        m.location = pos(var->location());
+        m.access = toString(var->access());
+        m.kind = "var";
+        m.type = typeRef(var->type);
+        item.members.push_back(std::move(m));
+      } else if (const auto* tdf = member->as<TypedefDecl>()) {
+        pdb::ClassItem::Member m;
+        m.name = out_.own(tdf->name());
+        m.location = pos(tdf->location());
+        m.access = toString(tdf->access());
+        m.kind = "type";
+        m.type = typeRef(tdf->underlying);
+        item.members.push_back(std::move(m));
+      }
+    }
+    item.extent = extent(cls);
   }
 }
 
 void IlAnalyzer::emitRoutines() {
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < out_.routines().size(); ++i)
-    index[out_.routines()[i].id] = i;
   for (const auto& [decl, id] : byId(routine_ids_)) {
     const auto* fn = decl->as<FunctionDecl>();
-    {
-      pdb::RoutineItem& item = out_.routines()[index.at(id)];
-      item.location = pos(fn->location());
-      item.parent = parentRef(fn);
-      if (fn->access() != AccessKind::None)
-        item.access = toString(fn->access());
-      item.signature = typeId(fn->signature);
-      item.linkage = fn->linkage == Linkage::C ? "C" : "C++";
-      item.storage = fn->storage == StorageClass::Static
-                         ? "static"
-                         : (fn->storage == StorageClass::Extern ? "extern" : "NA");
-      item.virtuality =
-          fn->is_pure_virtual ? "pure" : (fn->is_virtual ? "virt" : "no");
-      switch (fn->fkind) {
-        case FunctionKind::Constructor: item.kind = "ctor"; break;
-        case FunctionKind::Destructor: item.kind = "dtor"; break;
-        case FunctionKind::Conversion: item.kind = "conv"; break;
-        case FunctionKind::Operator: item.kind = "op"; break;
-        case FunctionKind::Normal: item.kind = "routine"; break;
-      }
-      item.is_static = fn->is_static;
-      item.is_inline = fn->is_inline;
-      item.is_explicit = fn->is_explicit;
-      item.is_specialization = fn->is_specialization;
-      item.defined = fn->is_defined;
-      if (const auto origin =
-              templateOrigin(fn->instantiated_from, fn->location())) {
-        item.template_id = *origin;
-      }
-      collectCalls(fn, item);
-      item.extent = extent(fn);
+    pdb::RoutineItem& item = recordAt(out_.routines(), out_.findRoutine(id));
+    item.location = pos(fn->location());
+    item.parent = parentRef(fn);
+    if (fn->access() != AccessKind::None)
+      item.access = toString(fn->access());
+    item.signature = typeId(fn->signature);
+    item.linkage = fn->linkage == Linkage::C ? "C" : "C++";
+    item.storage = fn->storage == StorageClass::Static
+                       ? "static"
+                       : (fn->storage == StorageClass::Extern ? "extern" : "NA");
+    item.virtuality =
+        fn->is_pure_virtual ? "pure" : (fn->is_virtual ? "virt" : "no");
+    switch (fn->fkind) {
+      case FunctionKind::Constructor: item.kind = "ctor"; break;
+      case FunctionKind::Destructor: item.kind = "dtor"; break;
+      case FunctionKind::Conversion: item.kind = "conv"; break;
+      case FunctionKind::Operator: item.kind = "op"; break;
+      case FunctionKind::Normal: item.kind = "routine"; break;
     }
+    item.is_static = fn->is_static;
+    item.is_inline = fn->is_inline;
+    item.is_explicit = fn->is_explicit;
+    item.is_specialization = fn->is_specialization;
+    item.defined = fn->is_defined;
+    if (const auto origin =
+            templateOrigin(fn->instantiated_from, fn->location())) {
+      item.template_id = *origin;
+    }
+    collectCalls(fn, item);
+    item.extent = extent(fn);
   }
 }
 
@@ -1067,26 +1055,21 @@ void IlAnalyzer::collectDefUse(const FunctionDecl* fn, pdb::DefUseItem& item) {
 }
 
 void IlAnalyzer::emitNamespaces() {
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < out_.namespaces().size(); ++i)
-    index[out_.namespaces()[i].id] = i;
   for (const auto& [decl, id] : byId(namespace_ids_)) {
-    {
-      pdb::NamespaceItem& item = out_.namespaces()[index.at(id)];
-      item.location = pos(decl->location());
-      if (const auto* ns = decl->as<NamespaceDecl>()) {
-        for (const Decl* member : ns->children()) {
-          if (const auto it = routine_ids_.find(member); it != routine_ids_.end())
-            item.members.push_back({pdb::ItemKind::Routine, it->second});
-          else if (const auto ct = class_ids_.find(member); ct != class_ids_.end())
-            item.members.push_back({pdb::ItemKind::Class, ct->second});
-          else if (const auto nt = namespace_ids_.find(member);
-                   nt != namespace_ids_.end())
-            item.members.push_back({pdb::ItemKind::Namespace, nt->second});
-          else if (const auto tt = template_ids_.find(member);
-                   tt != template_ids_.end())
-            item.members.push_back({pdb::ItemKind::Template, tt->second});
-        }
+    pdb::NamespaceItem& item = recordAt(out_.namespaces(), out_.findNamespace(id));
+    item.location = pos(decl->location());
+    if (const auto* ns = decl->as<NamespaceDecl>()) {
+      for (const Decl* member : ns->children()) {
+        if (const auto it = routine_ids_.find(member); it != routine_ids_.end())
+          item.members.push_back({pdb::ItemKind::Routine, it->second});
+        else if (const auto ct = class_ids_.find(member); ct != class_ids_.end())
+          item.members.push_back({pdb::ItemKind::Class, ct->second});
+        else if (const auto nt = namespace_ids_.find(member);
+                 nt != namespace_ids_.end())
+          item.members.push_back({pdb::ItemKind::Namespace, nt->second});
+        else if (const auto tt = template_ids_.find(member);
+                 tt != template_ids_.end())
+          item.members.push_back({pdb::ItemKind::Template, tt->second});
       }
     }
   }

@@ -14,6 +14,7 @@ class Validator {
   std::vector<std::string> run() {
     for (const auto& f : pdb_.sourceFiles()) {
       item_ = {"source file", f.name, ItemKind::SourceFile, f.id, f.src_offset};
+      checkUnique(f, pdb_.findSourceFile(f.id));
       for (const std::uint32_t inc : f.includes) {
         if (checkable(ItemKind::SourceFile) && pdb_.findSourceFile(inc) == nullptr)
           fail("includes undefined so#" + std::to_string(inc));
@@ -21,6 +22,7 @@ class Validator {
     }
     for (const auto& r : pdb_.routines()) {
       item_ = {"routine", r.name, ItemKind::Routine, r.id, r.src_offset};
+      checkUnique(r, pdb_.findRoutine(r.id));
       checkPos(r.location, "location");
       checkParent(r.parent);
       if (checkable(ItemKind::Type) && r.signature != 0 &&
@@ -39,6 +41,7 @@ class Validator {
     }
     for (const auto& c : pdb_.classes()) {
       item_ = {"class", c.name, ItemKind::Class, c.id, c.src_offset};
+      checkUnique(c, pdb_.findClass(c.id));
       checkPos(c.location, "location");
       checkParent(c.parent);
       if (checkable(ItemKind::Template) && c.template_id &&
@@ -66,6 +69,7 @@ class Validator {
     }
     for (const auto& t : pdb_.types()) {
       item_ = {"type", t.name, ItemKind::Type, t.id, t.src_offset};
+      checkUnique(t, pdb_.findType(t.id));
       if (t.ref) checkRef(*t.ref, "referenced type");
       if (t.return_type) checkRef(*t.return_type, "return type");
       for (const auto& p : t.params) checkRef(p, "parameter type");
@@ -73,22 +77,26 @@ class Validator {
     }
     for (const auto& t : pdb_.templates()) {
       item_ = {"template", t.name, ItemKind::Template, t.id, t.src_offset};
+      checkUnique(t, pdb_.findTemplate(t.id));
       checkPos(t.location, "location");
       checkParent(t.parent);
       checkExtent(t.extent);
     }
     for (const auto& n : pdb_.namespaces()) {
       item_ = {"namespace", n.name, ItemKind::Namespace, n.id, n.src_offset};
+      checkUnique(n, pdb_.findNamespace(n.id));
       checkPos(n.location, "location");
       for (const auto& m : n.members) checkRef(m, "member");
     }
     for (const auto& m : pdb_.macros()) {
       item_ = {"macro", m.name, ItemKind::Macro, m.id, m.src_offset};
+      checkUnique(m, pdb_.findMacro(m.id));
       checkPos(m.location, "location");
     }
     for (const auto& d : pdb_.defUses()) {
       item_ = {"def-use stream", std::nullopt, ItemKind::DefUse, d.id,
                d.src_offset};
+      checkUnique(d, pdb_.findDefUse(d.id));
       if (checkable(ItemKind::Routine) && d.routine != 0 &&
           pdb_.findRoutine(d.routine) == nullptr)
         fail("belongs to undefined ro#" + std::to_string(d.routine));
@@ -98,6 +106,7 @@ class Validator {
     }
     for (const auto& p : pdb_.dynProfs()) {
       item_ = {"dynamic profile", p.name, ItemKind::DynProf, p.id, p.src_offset};
+      checkUnique(p, pdb_.findDynProf(p.id));
       if (checkable(ItemKind::Routine) && p.routine != 0 &&
           pdb_.findRoutine(p.routine) == nullptr)
         fail("links undefined ro#" + std::to_string(p.routine));
@@ -143,22 +152,41 @@ class Validator {
   /// so the section is named too), or nothing for databases built in
   /// memory — so corrupt files are actionable.
   [[nodiscard]] std::string where() const {
-    const std::string prefix(prefixOf(item_.kind));
     std::string out(item_.noun);
     if (item_.name) out += " '" + std::string(*item_.name) + "'";
-    out += " (" + prefix + "#" + std::to_string(item_.id);
+    out += " (" + std::string(prefixOf(item_.kind)) + "#" + std::to_string(item_.id);
+    if (const std::string at = recordAt(item_.offset); !at.empty()) out += ", " + at;
+    return out + ")";
+  }
+
+  /// Where a record of the current item's kind lives: "line N", "byte N
+  /// of <prefix> section", or "" for a database built in memory.
+  [[nodiscard]] std::string recordAt(std::uint64_t offset) const {
     switch (pdb_.offsetUnit()) {
-      case OffsetUnit::Line: out += ", line " + std::to_string(item_.offset); break;
+      case OffsetUnit::Line: return "line " + std::to_string(offset);
       case OffsetUnit::Byte:
-        out += ", byte " + std::to_string(item_.offset) + " of " + prefix + " section";
-        break;
+        return "byte " + std::to_string(offset) + " of " +
+               std::string(prefixOf(item_.kind)) + " section";
       case OffsetUnit::None: break;
     }
-    return out + ")";
+    return {};
   }
 
   void fail(const std::string& what) {
     errors_.push_back(where() + ": " + what);
+  }
+
+  /// Ids are unique per kind. The id index keeps the last record with an
+  /// id, so a record the index does not point at is repeated by that one.
+  template <typename Record>
+  void checkUnique(const Record& record, const Record* indexed) {
+    if (indexed == nullptr || indexed == &record) return;
+    std::string other(item_.noun);
+    if constexpr (requires(const Record& r) { r.name; })
+      other += " '" + std::string(indexed->name) + "'";
+    if (const std::string at = recordAt(indexed->src_offset); !at.empty())
+      other += " (" + at + ")";
+    fail("id repeated by " + other);
   }
 
   void checkPos(const Pos& pos, const Label& what) {

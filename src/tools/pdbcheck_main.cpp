@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       for (const std::string& e : errors)
         std::cerr << "pdbcheck: " << path << ": " << e << '\n';
       std::cerr << "pdbcheck: '" << path
-                << "' references undefined items; refusing to analyze\n";
+                << "' fails validation; refusing to analyze\n";
       return 3;
     }
     inputs.push_back(std::move(pdb));

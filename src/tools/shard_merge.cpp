@@ -57,8 +57,8 @@ std::uint64_t fileSize(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-/// Mirrors pdbmerge's input checks: readable, and no dangling item
-/// references (merging those would silently corrupt the combined
+/// Mirrors pdbmerge's input checks: readable, no dangling item references
+/// and no repeated ids (merging those would silently corrupt the combined
 /// database). Failure messages append to `lines`.
 bool checkInput(const ductape::PDB& pdb, const std::string& path,
                 std::vector<std::string>& lines) {
@@ -69,8 +69,7 @@ bool checkInput(const ductape::PDB& pdb, const std::string& path,
   const std::vector<std::string> errors = pdb::validate(pdb.raw());
   if (!errors.empty()) {
     for (const std::string& e : errors) lines.push_back(path + ": " + e);
-    lines.push_back("'" + path +
-                    "' references undefined items; refusing to merge");
+    lines.push_back("'" + path + "' fails validation; refusing to merge");
     return false;
   }
   return true;

@@ -143,6 +143,38 @@ TEST(Ductape, CalleesAndCallers) {
   EXPECT_TRUE(tap_calls_pop);
 }
 
+// Each node is wired from its own record. With ro#1 repeated (a database
+// pdb::validate would refuse, built here without it), the first `ro#1`
+// keeps its call and the second, which calls nothing, gets none.
+TEST(Ductape, RepeatedIdWiresEachNodeFromItsOwnRecord) {
+  pdb::PdbFile raw;
+  pdb::RoutineItem first;
+  first.id = 1;
+  first.name = "first";
+  first.calls.push_back({2, false, {}});
+  raw.addRoutine(std::move(first));
+  pdb::RoutineItem callee;
+  callee.id = 2;
+  callee.name = "callee";
+  raw.addRoutine(std::move(callee));
+  pdb::RoutineItem again;
+  again.id = 1;
+  again.name = "again";
+  raw.addRoutine(std::move(again));
+
+  const PDB pdb = PDB::fromPdbFile(std::move(raw));
+  const PDB::routinevec& routines = pdb.getRoutineVec();
+  ASSERT_EQ(routines.size(), 3u);
+  EXPECT_EQ(routines[0]->name(), "first");
+  ASSERT_EQ(routines[0]->callees().size(), 1u);
+  EXPECT_EQ(routines[0]->callees()[0]->call(), routines[1]);
+  EXPECT_EQ(routines[1]->name(), "callee");
+  ASSERT_EQ(routines[1]->callers().size(), 1u);
+  EXPECT_EQ(routines[1]->callers()[0]->call(), routines[0]);
+  EXPECT_EQ(routines[2]->name(), "again");
+  EXPECT_TRUE(routines[2]->callees().empty());
+}
+
 TEST(Ductape, CallTreeRoots) {
   PDB pdb = compileToPdb("stack.cpp", kStackSource);
   const auto roots = pdb.getCallTreeRoots();

@@ -225,5 +225,41 @@ TEST(ValidateGolden, BinaryMessagesCarrySectionByteOffsets) {
   EXPECT_EQ(validateAs(Format::Binary), expected);
 }
 
+// Ids are unique per kind. Here ro#1 names two routines: a reader keeps
+// the last one in its id index, so without this check tools would wire
+// `first`'s call to `again` and answer wrong without a word.
+constexpr const char* kRepeatedRoutineId =
+    "<PDB 1.0>\n"
+    "\n"
+    "ro#1 first\n"
+    "rcall ro#2 no NULL 0 0\n"
+    "\n"
+    "ro#2 callee\n"
+    "\n"
+    "ro#1 again\n";
+
+TEST(ValidateGolden, RepeatedIdNamesBothRecords) {
+  const ReadResult read = readBuffer(kRepeatedRoutineId);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read.pdb.routines().size(), 3u);
+  const std::vector<std::string> expected = {
+      "routine 'first' (ro#1, line 3): id repeated by routine 'again' (line 8)",
+  };
+  EXPECT_EQ(validate(read.pdb), expected);
+
+  PdbFile built;
+  for (const auto& [id, name] : {std::pair<std::uint32_t, std::string_view>{1, "first"},
+                                 {2, "callee"},
+                                 {1, "again"}}) {
+    RoutineItem r;
+    r.id = id;
+    r.name = name;
+    built.addRoutine(std::move(r));
+  }
+  EXPECT_EQ(validate(built),
+            std::vector<std::string>{
+                "routine 'first' (ro#1): id repeated by routine 'again'"});
+}
+
 }  // namespace
 }  // namespace pdt::pdb
